@@ -19,7 +19,7 @@ from .engine import agl_report
 from .errors import (AGLError, ContourNotFound, HypothesisUnmet,
                      MarginNonPositive, NonIntegerWinding, SampleAtSingularity)
 from .rational import critical_points
-from .regions import Disk
+from .regions import MEMBERSHIP_TOL, Disk
 
 
 def _read_json(path: str):
@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
-        p.add_argument("--membership-tol", type=float, default=None)
 
     p = sub.add_parser("check", help="count critical points near a region")
     p.add_argument("--instance", required=True, help="instance JSON file or -")
@@ -75,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--root-tol", type=float, default=None)
+    p.add_argument("--membership-tol", type=float, default=MEMBERSHIP_TOL)
     common(p, "json")
 
     p = sub.add_parser("bounds", help="closed-form bound table")
@@ -91,6 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--min-samples", type=int, default=512)
+    p.add_argument("--membership-tol", type=float, default=MEMBERSHIP_TOL)
     common(p, "json")
 
     p = sub.add_parser("search", help="maximize the required eps by search")
@@ -146,12 +147,9 @@ def _float_list(text: str) -> list[float]:
 
 def _cmd_check(args) -> int:
     f, region = _load_instance(args)
-    tol = {}
-    if args.membership_tol is not None:
-        tol["membership_tol"] = args.membership_tol
-    if args.root_tol is not None:
-        tol["root_tol"] = args.root_tol
-    report = agl_report(f, region, args.eps, args.k, **tol)
+    report = agl_report(f, region, args.eps, args.k,
+                        membership_tol=args.membership_tol,
+                        root_tol=args.root_tol)
     payload = serialize.agl_report_to_json(report)
     if args.format == "csv":
         _emit(args, "holds,zeros_in_region,critical_in_neighborhood,"
@@ -187,7 +185,8 @@ def _cmd_certify(args) -> int:
     f, region = _load_instance(args)
     try:
         cert = certify(f, region, args.eps, args.k,
-                       min_samples=args.min_samples, seed=args.seed)
+                       min_samples=args.min_samples, seed=args.seed,
+                       membership_tol=args.membership_tol)
     except (MarginNonPositive, ContourNotFound, NonIntegerWinding,
             SampleAtSingularity, ContourBoundaryConflict) as exc:
         _emit(args, _dump(serialize.certificate_failure_json(
@@ -289,3 +288,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -20,7 +20,7 @@ from .errors import MultiplicityViolation, NonConvergence
 ROOT_TOL = 1e-12     # per-root correction tolerance for the root iteration
 CLUSTER_TOL = 1e-9   # grouping tolerance for multiplicity and cancellation
 
-_TRIM_REL = 1e-9     # leading coefficients below this relative floor are noise
+_MOMENT_REL = 1e-9   # moments below this relative floor are roundoff survivors
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _SMALL_DEGREE = 14   # below this, plain Python beats numpy dispatch overhead
 
@@ -156,6 +156,7 @@ def _initial_circle(coeffs, deg: int):
             for j in range(deg)]
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _aberth(coeffs: np.ndarray, root_tol: float, max_iterations: int):
     deg = len(coeffs) - 1
     z = np.array(_initial_circle(coeffs, deg))
@@ -174,9 +175,8 @@ def _aberth(coeffs: np.ndarray, root_tol: float, max_iterations: int):
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         srep = (1.0 / diff).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = pv / dv
-            step = newton / (1.0 - newton * srep)
+        newton = pv / dv
+        step = newton / (1.0 - newton * srep)
         step = np.where(np.isfinite(step), step,
                         np.where(np.isfinite(newton), newton, 0.1 + 0.1j))
         step = np.where(settled, 0.0, step)
@@ -188,7 +188,8 @@ def _aberth(coeffs: np.ndarray, root_tol: float, max_iterations: int):
                 pv = pv * z + coeffs[i]
             return z, float(np.max(np.abs(pv)))
     raise NonConvergence(
-        f"root corrections not settled after {max_iterations} iterations")
+        f"root corrections not settled after {max_iterations} iterations"
+        + ("" if np.isfinite(fv).all() else "; the iterates overflowed"))
 
 
 def _aberth_small(coeffs: list, root_tol: float, max_iterations: int):
@@ -257,96 +258,65 @@ def _cluster(points, tol: float):
     return centers, counts
 
 
-def _weighted_cofactor_sum(centers: np.ndarray, weights: np.ndarray):
-    """Coefficients of sum_w weights[w] * prod_{v != w} (z - v), ascending.
-
-    Also returns per-coefficient magnitude bounds (the same sum with absolute
-    values) so callers can tell genuinely vanishing leading coefficients from
-    roundoff survivors.
-    """
-    d = len(centers)
-    full = np.array([1.0 + 0j])
-    for c in centers:
-        full = np.convolve(full, np.array([-c, 1.0 + 0j]))
-    cof = np.empty((d, d), dtype=np.complex128)
-    col = np.full(d, full[d])
-    cof[:, d - 1] = col
-    for j in range(d - 1, 0, -1):
-        col = full[j] + centers * col
-        cof[:, j - 1] = col
-    numer = weights @ cof
-    bound = np.abs(weights) @ np.abs(cof)
-    return numer, bound
-
-
-def _trim_leading(coeffs: np.ndarray, bounds: np.ndarray,
-                  rel: float = _TRIM_REL) -> np.ndarray:
-    end = len(coeffs)
-    while end > 1 and abs(coeffs[end - 1]) <= rel * bounds[end - 1]:
-        end -= 1
-    return coeffs[:end]
-
-
 # Extended precision, when the platform offers it, pushes the evaluation
-# noise of the partial-fraction refinement below the double-precision floor;
-# near-degenerate critical clusters benefit by several digits.
+# noise of the finishing iteration below the double-precision floor;
+# near-degenerate critical clusters gain several digits from it.
 _REFINE_DTYPE = getattr(np, "complex256", np.complex128)
 
 
-def _refine_partial_fraction(roots: np.ndarray, centers: np.ndarray,
-                             weights: np.ndarray, root_tol: float,
-                             max_iterations: int = 200) -> np.ndarray:
-    """Aberth iteration on the roots of N(z) = D(z) * sum_w weights/(z - w)
-    with D = prod(z - w), evaluating everything in partial-fraction form.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _secular_aberth(z: np.ndarray, centers: np.ndarray, weights: np.ndarray,
+                    dtype, root_tol: float,
+                    max_iterations: int = 200) -> np.ndarray:
+    """Aberth iteration in ``dtype`` on the roots of N = D * R, where
+    R(z) = sum weights / (z - centers) and D = prod(z - centers).
 
-    Expanding N into coefficients loses relative accuracy when its roots
-    cluster (badly enough that the coefficient path alone returns garbage
-    for a hundred zeros packed in a segment); the product form keeps the
-    Newton correction N/N' = R/(R' + R*S) (with R the weighted sum and
-    S = D'/D) accurate from the center data alone.  The coefficient-path
-    roots only seed the iteration.
+    Everything is evaluated in partial-fraction form: N'/N = R'/R + S with
+    S = D'/D needs only the centre data, so clustered configurations keep
+    the relative accuracy that expanding N into coefficients loses.  A root
+    settles when its correction drops below root_tol * max(1, |z|), or when
+    |R| reaches the noise floor of its own evaluation, below which
+    coincident roots cannot shrink their corrections.
     """
-    z = roots.astype(_REFINE_DTYPE, copy=True)
-    cw = centers.astype(_REFINE_DTYPE)
-    ww = weights.astype(_REFINE_DTYPE)
-    res_floor = 16.0 * float(np.finfo(getattr(np, "longdouble", np.float64)).eps)
-    settled = np.zeros(len(z), dtype=bool)
+    n, d = len(z), len(centers)
+    z = z.astype(dtype)
+    c = centers.astype(dtype)
+    w = weights.astype(dtype)
+    noise_w = 16.0 * float(np.finfo(w.real.dtype).eps) * np.abs(weights)
+    # the root-centre terms, then the root-root terms (n <= d - 1), share one
+    # buffer overwritten in place; with |terms| in float64 that is all the work
+    buf = np.empty(n * d, dtype=dtype)
+    near = buf.reshape(n, d)
+    mutual = buf[:n * n].reshape(n, n)
+    self_terms = buf[:n * n:n + 1]
+    size = np.empty((n, d))
+    settled = np.zeros(n, dtype=bool)
     for _ in range(max_iterations):
-        dc = z[:, None] - cw[None, :]
-        tiny = np.abs(dc) == 0.0
-        if bool(np.any(tiny)):
-            dc = dc + tiny * (root_tol + 1e-30)
-        inv = 1.0 / dc
-        rv = inv @ ww
-        rs = -(inv * inv) @ ww
-        sv = inv.sum(axis=1)
-        # settle on residual too: |R| at the evaluation-noise floor means
-        # coincident roots cannot shrink their corrections any further
-        noise = res_floor * (np.abs(inv) @ np.abs(ww))
-        settled = settled | (np.abs(rv) <= noise)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        rep = (1.0 / diff).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = rv / (rs + rv * sv)
-            step = newton / (1.0 - newton * rep)
-        step = np.where(np.isfinite(step), step,
-                        np.where(np.isfinite(newton), newton, 0.1 + 0.1j))
-        # damp runaway corrections; far from a root Newton can overshoot
-        cap = 0.5 * (1.0 + np.abs(z))
+        np.reciprocal(np.subtract.outer(z, c, out=near), out=near)
+        r = near @ w
+        s = near.sum(axis=1)
+        noise = np.abs(near, out=size) @ noise_w
+        minus_dr = np.square(near, out=near) @ w
+        np.subtract.outer(z, z, out=mutual)
+        self_terms[...] = np.inf
+        rep = np.reciprocal(mutual, out=mutual).sum(axis=1)
+        step = 1.0 / ((s - rep) - minus_dr / r)
         mag = np.abs(step)
-        step = np.where(mag > cap, step * (cap / np.where(mag == 0, 1.0, mag)),
-                        step)
-        step = np.where(settled, 0.0, step)
-        z = z - step
-        settled = settled | (np.abs(step) <= root_tol * np.maximum(1.0, np.abs(z)))
-        if bool(np.all(settled)):
-            break
-    else:
-        raise NonConvergence(
-            f"critical-point corrections not settled after {max_iterations} "
-            "iterations")
-    return z.astype(np.complex128)
+        if not mag.max() <= 0.5:
+            # a runaway correction, or a root on a centre: damp the first
+            # (far out, Newton can overshoot), nudge the second
+            cap = 0.5 * (1.0 + np.abs(z))
+            step = np.where(mag > cap, step * (cap / mag), step)
+            step[~np.isfinite(step)] = 0.1 + 0.1j
+        settled |= np.abs(r) <= noise
+        step[settled] = 0.0
+        z -= step
+        settled |= mag <= root_tol * np.maximum(1.0, np.abs(z))
+        if settled.all():
+            return z
+    raise NonConvergence(
+        f"critical-point corrections not settled after {max_iterations} "
+        "iterations")
 
 
 def critical_points(f: RationalFunction, root_tol: float = ROOT_TOL,
@@ -356,8 +326,9 @@ def critical_points(f: RationalFunction, root_tol: float = ROOT_TOL,
 
     A zero of multiplicity m contributes m - 1 critical points at itself;
     those are emitted directly.  The remaining critical points are the roots
-    of the partial-fraction numerator sum_w c_w * prod_{v != w}(z - v) over
-    the distinct zeros and poles, with c_w the signed multiplicity.
+    of the secular equation sum_w c_w / (z - w) = 0 over the distinct zeros
+    and poles, with c_w the signed multiplicity.  The residual is the largest
+    relative secular residual |sum c_w/(z - w)| / sum |c_w/(z - w)| at them.
     """
     zc, zm = _cluster(f.zeros, cluster_tol)
     pc, pm = _cluster(f.poles, cluster_tol)
@@ -368,27 +339,54 @@ def critical_points(f: RationalFunction, root_tol: float = ROOT_TOL,
         return RootSet((), 0.0)
     centers = np.array(zc + pc, dtype=np.complex128)
     weights = np.array(zm + [-m for m in pm], dtype=np.complex128)
-    extra, residual = _partial_fraction_roots(centers, weights, root_tol)
+    extra, _, residual = _partial_fraction_roots(centers, weights, root_tol)
     return RootSet(tuple(known) + extra, residual)
 
 
 def _partial_fraction_roots(centers, weights, root_tol):
-    """Roots of the numerator of sum_w weights/(z - w), with a product-form
-    refinement pass; returns (points, residual)."""
-    numer, bound = _weighted_cofactor_sum(centers, weights)
-    numer = _trim_leading(numer, bound)
-    if len(numer) == 1:
-        return (), 0.0
-    seed = poly_roots(Polynomial(tuple(numer)), root_tol=root_tol)
-    refined = _refine_partial_fraction(np.asarray(seed.points), centers,
-                                       weights, root_tol)
-    residual = 0.0
-    for z in refined:
-        acc = 0j
-        for c in reversed(numer):
-            acc = acc * z + c
-        residual = max(residual, abs(acc))
-    return tuple(refined), residual
+    """Roots of N = D * sum weights / (z - centers), D = prod(z - centers).
+
+    Returns (roots, leading coefficient of N, relative secular residual).
+    N has degree d - 1 - m for d centres, where the moment
+    sum weights * centers**m is the first that does not vanish; that moment
+    is N's leading coefficient.  Two centres give the one root in closed
+    form, exact where iterating would leave rounding noise (the midpoint of
+    a symmetric pair is 0, not 1e-16).  Otherwise Aberth iteration on the
+    secular equation finds the roots, in complex128 on the centred and scaled
+    centres, then finished in _REFINE_DTYPE on the centres as given.
+    """
+    d = len(centers)
+    origin = centers.sum() / d
+    spread = float(np.abs(centers - origin).max()) or 1.0
+    unit = (centers - origin) / spread
+    term = weights
+    m = 0
+    while m < d - 1 and abs(term.sum()) <= _MOMENT_REL * np.abs(term).sum():
+        term = term * unit
+        m += 1
+    lead = complex(weights @ centers ** m)
+    count = d - 1 - m
+    if count == 0:
+        return (), lead, 0.0
+    if d == 2:
+        z = np.array([weights @ centers[::-1] / weights.sum()])
+    else:
+        # one start beside each centre but the farthest out (the farthest
+        # few when the degree drops), half way to the nearest other centre,
+        # heading for the origin with a tilt of up to 20 degrees on the
+        # golden-angle sequence, so that no two starts coincide
+        beside = unit[sorted(range(d), key=lambda k: abs(unit[k]))[:count]]
+        gap = np.abs(np.subtract.outer(beside, unit))
+        gap[gap == 0.0] = np.inf  # each start's own centre
+        tilt = 0.11 * (_GOLDEN_ANGLE * np.arange(count) % math.tau - math.pi)
+        z = beside + 0.5 * gap.min(1) * np.exp(1j * (np.angle(-beside) + tilt))
+        z = _secular_aberth(z, unit, weights, np.complex128, root_tol)
+        z = _secular_aberth(origin + spread * z, centers, weights,
+                            _REFINE_DTYPE, root_tol).astype(np.complex128)
+    terms = np.subtract.outer(z, centers)
+    np.divide(weights, terms, out=terms)
+    residual = np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
+    return tuple(z.tolist()), lead, float(residual.max())
 
 
 def log_derivative(f: RationalFunction, root_tol: float = ROOT_TOL,
@@ -405,14 +403,10 @@ def log_derivative(f: RationalFunction, root_tol: float = ROOT_TOL,
     if any(m > 1 for m in counts):
         raise MultiplicityViolation("zeros and poles must all be simple")
     centers = np.asarray(pts, dtype=np.complex128)
-    weights = np.concatenate([np.ones(len(f.zeros)),
-                              -np.ones(len(f.poles))]).astype(np.complex128)
-    numer, bound = _weighted_cofactor_sum(centers, weights)
-    numer = _trim_leading(numer, bound)
-    if len(numer) == 1:
-        return RationalFunction((), pts, complex(numer[0]))
-    roots, _ = _partial_fraction_roots(centers, weights, root_tol)
-    return RationalFunction(roots, pts, complex(numer[-1]))
+    weights = np.array([1.0] * len(f.zeros) + [-1.0] * len(f.poles),
+                       dtype=np.complex128)
+    roots, lead, _ = _partial_fraction_roots(centers, weights, root_tol)
+    return RationalFunction(roots, pts, lead)
 
 
 def rational_product(a: RationalFunction, b: RationalFunction,

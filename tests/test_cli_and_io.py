@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import aglucas
 
 from aglucas import (ConvexPolygon, Disk, ExclusionBall, ExclusionSet,
                      RationalFunction, Scene, Segment, offset_contour,
@@ -132,6 +138,20 @@ class TestCertifyCommand:
         assert out["critical_lower_bound"] == 3
         assert out["failure_reason"] is None
 
+    def test_membership_tol_honoured(self, instance_file, capsys):
+        # the zero at 1.05 counts as in the unit disk only with the tolerance
+        payload = {"zeros": [[0.1, 0], [-0.2, 0.1], [0.3, -0.2], [1.05, 0]],
+                   "poles": [], "scale": [1, 0],
+                   "region": {"disk": {"center": [0, 0], "radius": 1}}}
+        path = instance_file(payload)
+        args = ["certify", "--instance", path, "--k", "4", "--eps", "0.5"]
+        assert run(args) == 2
+        capsys.readouterr()
+        code = run(args + ["--membership-tol", "0.1"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["valid"] is True
+
     def test_uncertifiable_exit_one(self, instance_file, capsys):
         # heavy outside pole cloud breaks the margin at this eps
         payload = {"zeros": [[0.0, 0], [0.1, 0]],
@@ -146,6 +166,27 @@ class TestCertifyCommand:
         assert code == 1
         assert out["valid"] is False
         assert out["failure_reason"]
+
+
+class TestEntryPoints:
+    def test_membership_tol_only_where_honoured(self):
+        assert run(["bounds", "--n", "10", "--gap", "1", "--s", "1",
+                    "--membership-tol", "0.1"]) == 2
+
+    def test_python_dash_m_matches_run(self, instance_file, capsys):
+        path = instance_file(dict(CUBIC, region=SEGMENT))
+        args = ["check", "--instance", path, "--k", "2", "--eps", "0.5"]
+        code = run(args)
+        expected = capsys.readouterr().out
+        src = str(Path(aglucas.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-m", "aglucas", *args],
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert child.returncode == code
+        assert child.stdout == expected
 
 
 class TestSearchCommand:

@@ -1,15 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aglucas import (MultiplicityViolation, Polynomial, RationalFunction,
-                     convex_hull_region, critical_points, distance,
-                     from_points, log_derivative, log_derivative_values,
-                     poly_derivative, poly_eval, poly_roots, rational_eval,
-                     rational_product)
+from aglucas import (MultiplicityViolation, NonConvergence, Polynomial,
+                     RationalFunction, convex_hull_region, critical_points,
+                     distance, from_points, log_derivative,
+                     log_derivative_values, poly_derivative, poly_eval,
+                     poly_roots, rational_eval, rational_product)
 from conftest import match_multisets
 
 Z2_MINUS_1 = Polynomial((-1, 0, 1))
@@ -69,6 +70,17 @@ class TestPolyRoots:
         with pytest.raises(ValueError):
             poly_roots(Polynomial((0,)))
 
+    def test_overflow_reported_not_warned(self):
+        # the Fujiwara start circle of 150 spread-out zeros overflows the
+        # Horner sums; that must surface in the error, not as warnings
+        gen = np.random.default_rng(0)
+        p = Polynomial.from_roots(
+            10 * (gen.standard_normal(150) + 1j * gen.standard_normal(150)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match="overflowed"):
+                poly_roots(p)
+
     def test_roots_at_origin(self):
         p = Polynomial((0, 0, 0, 2))
         assert poly_roots(p).points == (0j, 0j, 0j)
@@ -116,6 +128,45 @@ class TestCriticalPoints:
         for z in pts:
             assert abs(z - 3) > 1e-6
 
+    def test_coincident_pairs_exact(self):
+        # two double zeros: each contributes itself once, and the remaining
+        # critical point is the exact midpoint, as for the simple pair
+        pts = critical_points(RationalFunction((1, 1, -1, -1), (), 1)).points
+        assert sorted_points(pts) == [-1, 0j, 1]
+
+    def test_coincident_zeros_against_reduced_numerator(self):
+        zeros = (0.5, 0.5, 0.5, -1, 1j, 1j)
+        centers, weights = [0.5, -1, 1j], [3, 1, 2]
+        reduced = np.zeros(1, dtype=complex)
+        for j, w in enumerate(weights):
+            others = [c for i, c in enumerate(centers) if i != j]
+            reduced = np.polyadd(reduced, w * np.poly(others))
+        want = [0.5, 0.5, 1j] + list(np.roots(reduced))
+        crit = critical_points(RationalFunction(zeros, (), 1))
+        assert match_multisets(crit.points, want, 1e-9)
+
+    def test_degree_drop_against_np_roots(self, rng):
+        # equal zero and pole counts: sum of the weights is 0, so N'D - ND'
+        # loses its top coefficient and f has 2n - 2 critical points
+        for n in (2, 3, 4, 5):
+            zeros = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            poles = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            num, den = np.poly(zeros), np.poly(poles)
+            wronskian = np.polysub(np.polymul(np.polyder(num), den),
+                                   np.polymul(num, np.polyder(den)))
+            f = RationalFunction(tuple(zeros), tuple(poles), 1)
+            crit = critical_points(f)
+            assert len(crit.points) == 2 * n - 2
+            assert match_multisets(crit.points, np.roots(wronskian), 1e-8)
+            lead = wronskian[np.flatnonzero(wronskian)[0]]
+            assert log_derivative(f).scale == pytest.approx(lead, rel=1e-9)
+
+    def test_degree_drop_by_two(self):
+        # (z^2 - 1)/(z^2 + 1): f'/f = 4z / ((z^2 - 1)(z^2 + 1))
+        f = RationalFunction((1, -1), (1j, -1j), 1)
+        assert match_multisets(critical_points(f).points, [0], 1e-12)
+        assert log_derivative(f).scale == pytest.approx(4)
+
     def test_gauss_lucas_hull_random(self, rng):
         for _ in range(25):
             deg = int(rng.integers(2, 30))
@@ -125,6 +176,56 @@ class TestCriticalPoints:
             assert len(crit.points) == deg - 1
             for c in crit.points:
                 assert distance(c, hull)[0] <= 1e-9
+
+
+def _high_degree_zeros(family, n, seed):
+    gen = np.random.default_rng(seed)
+    if family == "equispaced":
+        return np.linspace(0.0, 1.0, n) + 0j
+    if family == "uniform01":
+        return gen.random(n) + 0j
+    if family == "box":
+        return 0.01 * (gen.random(n) + 1j * gen.random(n))
+    return gen.standard_normal(n) + 1j * gen.standard_normal(n)
+
+
+class TestHighDegree:
+    """Collinear, clustered and Gaussian zero sets of high degree.  The
+    seeded draws at n = 75 and 80 are ones on which an Aberth iteration on
+    the expanded coefficients of p' does not converge."""
+
+    @pytest.mark.parametrize("family,n,seed", [
+        ("equispaced", 80, 0), ("equispaced", 90, 0), ("equispaced", 200, 0),
+        ("uniform01", 80, 10), ("uniform01", 80, 21), ("uniform01", 80, 45),
+        ("uniform01", 90, 0), ("uniform01", 200, 0),
+        ("box", 75, 89), ("box", 75, 154), ("box", 80, 1), ("box", 80, 3),
+        ("box", 80, 13), ("box", 80, 28), ("box", 80, 43), ("box", 90, 0),
+        ("box", 200, 0), ("gauss", 400, 7)])
+    def test_all_critical_points(self, family, n, seed):
+        zeros = _high_degree_zeros(family, n, seed)
+        crit = critical_points(RationalFunction(tuple(zeros), (), 1))
+        pts = np.asarray(crit.points)
+        assert len(pts) == n - 1
+        spread = float(np.ptp(zeros.real) + np.ptp(zeros.imag))
+        if family in ("equispaced", "uniform01"):
+            assert np.max(np.abs(pts.imag)) <= 1e-9 * spread
+            za, zc = np.sort(zeros.real), np.sort(pts.real)
+            assert np.all(za[:-1] < zc) and np.all(zc < za[1:])
+        else:
+            hull = convex_hull_region(zeros)
+            assert max(distance(c, hull)[0] for c in pts) <= 1e-9
+        # the first two power sums are fixed by the zeros' (Vieta); a root
+        # found twice while another is missing moves them
+        a = zeros - zeros.mean()
+        c = pts - zeros.mean()
+        e1, e2 = a.sum(), (a.sum() ** 2 - (a ** 2).sum()) / 2
+        assert abs(c.sum() - (n - 1) / n * e1) <= 1e-9 * spread
+        want_p2 = ((n - 1) / n * e1) ** 2 - 2 * (n - 2) / n * e2
+        assert abs((c ** 2).sum() - want_p2) <= 1e-9 * spread ** 2 * n
+        terms = 1.0 / (pts[:, None] - zeros[None, :])
+        secular = np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
+        assert crit.residual == pytest.approx(float(secular.max()))
+        assert crit.residual <= 1e-10
 
 
 class TestLogDerivative:
