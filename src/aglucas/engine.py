@@ -87,10 +87,12 @@ def agl_report(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
 
 
 def random_instance(n: int, k: int, region: ConvexRegion, pole_fraction: float,
-                    spread: float, seed: int) -> RationalFunction:
+                    spread: float,
+                    seed: int | np.random.Generator) -> RationalFunction:
     """Seeded random instance: k zeros uniform in the region, the remaining
     n - k points uniform in a disk of radius spread around the centroid,
-    each independently a pole with probability pole_fraction."""
+    each independently a pole with probability pole_fraction.  A Generator
+    as seed is drawn from and advanced in place."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if not 0.0 <= pole_fraction <= 1.0:

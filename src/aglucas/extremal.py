@@ -18,8 +18,9 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .errors import HypothesisUnmet, InsufficientCriticalPoints, \
     NonConvergence
-from .engine import count_in
-from .rational import Polynomial, RationalFunction, critical_points, poly_roots
+from .engine import count_in, random_instance
+from .rational import ROOT_TOL, Polynomial, RationalFunction, _aberth, \
+    critical_points, poly_roots
 from .regions import ConvexRegion, Disk, centroid, diameter, distance, \
     distances, sample_point
 
@@ -135,44 +136,44 @@ class _ArcFamily:
         self.spread = rng.uniform(0.004, 0.02)
         self.scale = max(region.radius, 1e-3)
 
-    def zeros_at(self, t, const, spread, polish=False):
+    def coefficients(self, t, spread, dtype=np.complex128) -> np.ndarray:
+        """Ascending coefficients, in ``dtype``, of the degree-n polynomial
+        with integration constant 0 whose critical points are the n - 1 arc
+        points t * exp(i * (j - (n - 2) / 2) * spread)."""
         n = self.n
-        m = n - 1
-        angles = [(j - (m - 1) / 2.0) * spread for j in range(m)]
-        coeffs = [1.0 + 0j]
-        for a in angles:
-            w = t * complex(math.cos(a), math.sin(a))
-            nxt = [0j] * (len(coeffs) + 1)
-            for idx, c in enumerate(coeffs):
-                nxt[idx] -= w * c
-                nxt[idx + 1] += c
-            coeffs = nxt
-        pcoef = [complex(const)] + [n * coeffs[j - 1] / j for j in range(1, n + 1)]
+        real = np.finfo(dtype).dtype
+        angles = ((np.arange(n - 1) - (n - 2) / 2.0) * spread).astype(real)
+        t = real.type(t)
+        # prod(z - w) expanded on real and imaginary parts: plain products
+        # and sums, rounded the same way in every dtype
+        re, im = np.ones(1, dtype=real), np.zeros(1, dtype=real)
+        for wr, wi in zip(t * np.cos(angles), t * np.sin(angles)):
+            nre, nim = np.zeros(len(re) + 1, real), np.zeros(len(re) + 1, real)
+            nre[1:], nim[1:] = re, im
+            nre[:-1] -= wr * re - wi * im
+            nim[:-1] -= wr * im + wi * re
+            re, im = nre, nim
+        out = np.zeros(n + 1, dtype=dtype)
+        j = np.arange(1, n + 1)
+        out.real[1:], out.imag[1:] = n * re / j, n * im / j
+        return out
+
+    def zeros_at(self, t, const, spread, polish=False):
+        pcoef = self.coefficients(t, spread)
+        pcoef[0] = const
         roots = np.asarray(poly_roots(Polynomial(tuple(pcoef))).points)
         if polish:
-            roots = self._polish(pcoef, angles, t, const, roots)
+            roots = self._polish(t, const, spread, roots)
         return [self.region.center + self.direction * z for z in roots]
 
-    @staticmethod
-    def _polish(pcoef, angles, t, const, roots):
+    def _polish(self, t, const, spread, roots):
         # Newton in extended precision; double-rounded zeros get amplified
         # through the near-degenerate critical cluster otherwise.
-        dtype = getattr(np, "complex256", np.complex128)
-        coeffs = [np.zeros((), dtype=dtype) + 1.0]
-        for a in angles:
-            w = (np.cos(np.longdouble(a)) + 1j * np.sin(np.longdouble(a)))
-            w = np.asarray(t, dtype=dtype) * w
-            nxt = [np.zeros((), dtype=dtype) for _ in range(len(coeffs) + 1)]
-            for idx, c in enumerate(coeffs):
-                nxt[idx] = nxt[idx] - w * c
-                nxt[idx + 1] = nxt[idx + 1] + c
-            coeffs = nxt
-        n = len(pcoef) - 1
-        pc = np.empty(n + 1, dtype=dtype)
+        pc = self.coefficients(t, spread, getattr(np, "complex256",
+                                                  np.complex128))
         pc[0] = const
-        for j in range(1, n + 1):
-            pc[j] = n * coeffs[j - 1] / j
-        z = roots.astype(dtype)
+        n = self.n
+        z = roots.astype(pc.dtype)
         for _ in range(4):
             pv = np.full_like(z, pc[n])
             dv = np.zeros_like(z)
@@ -184,17 +185,26 @@ class _ArcFamily:
             z = z - np.where(np.isfinite(step), step, 0.0)
         return z.astype(np.complex128)
 
-    def _kth_dist(self, t, const, spread):
-        zs = np.asarray(self.zeros_at(t, const, spread))
-        return float(np.sort(distances(zs, self.region))[self.k - 1])
+    def _kth_smallest(self, zs):
+        """The k-th smallest distance to the region along zs's last axis."""
+        dist = distances(zs.ravel(), self.region).reshape(zs.shape)
+        return np.sort(dist, axis=-1)[..., self.k - 1]
+
+    def _kth_dist(self, t, consts, spread):
+        """The k-th smallest zero distance for each integration constant,
+        from one batched root solve."""
+        rows = np.tile(self.coefficients(t, spread), (len(consts), 1))
+        rows[:, 0] = consts
+        roots, _ = _aberth(rows, ROOT_TOL, 200)
+        return self._kth_smallest(self.region.center + self.direction * roots)
 
     def _best_const(self, t, spread):
         span = 3.0 * (t + self.scale) ** self.n
         grid = np.linspace(-span, span, 180)
-        vals = [self._kth_dist(t, c, spread) for c in grid]
-        i = int(np.argmin(vals))
+        i = int(np.argmin(self._kth_dist(t, grid, spread)))
         res = minimize_scalar(
-            lambda c: self._kth_dist(t, c, spread),
+            lambda c: float(self._kth_smallest(
+                np.asarray(self.zeros_at(t, c, spread)))),
             bounds=(grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]),
             method="bounded", options={"xatol": 1e-10 * span})
         return float(res.x), float(res.fun)
@@ -405,8 +415,7 @@ def conjecture_probe(region: ConvexRegion, eps: float, ratio_values,
             failures = 0
             worst = 0
             for _ in range(trials):
-                f = random_instance_seeded(n, k, region, pole_fraction, spread,
-                                           rng)
+                f = random_instance(n, k, region, pole_fraction, spread, rng)
                 crit = critical_points(f)
                 got = count_in(crit.points, region, eps)
                 if got < k - 1:
@@ -417,21 +426,3 @@ def conjecture_probe(region: ConvexRegion, eps: float, ratio_values,
                                  failure_rate=failures / trials,
                                  worst_shortfall=worst))
     return rows
-
-
-def random_instance_seeded(n: int, k: int, region: ConvexRegion,
-                           pole_fraction: float, spread: float,
-                           rng: np.random.Generator) -> RationalFunction:
-    """random_instance variant that advances a caller-owned generator."""
-    zeros = [sample_point(region, rng) for _ in range(k)]
-    poles: list[complex] = []
-    anchor = centroid(region)
-    for _ in range(n - k):
-        r = spread * math.sqrt(rng.random())
-        th = 2.0 * math.pi * rng.random()
-        z = anchor + r * complex(math.cos(th), math.sin(th))
-        if rng.random() < pole_fraction:
-            poles.append(z)
-        else:
-            zeros.append(z)
-    return RationalFunction(tuple(zeros), tuple(poles), 1.0)

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from aglucas import (Disk, HypothesisUnmet, InsufficientCriticalPoints,
                      RationalFunction, Segment, asymptotic_experiment,
                      conjecture_probe, from_points, psi1_biernacki,
                      psi1_disk_bound, psi1_kakeya, psi1_marden,
-                     required_epsilon, search_psi)
+                     random_instance, required_epsilon, search_psi)
+from aglucas.extremal import _ArcFamily
+from aglucas.regions import distances
 
 UNIT_DISK = Disk(0, 1)
 
@@ -52,6 +55,21 @@ class TestSearchSmall:
         values = [v for _, v in res.trace]
         assert values == sorted(values)
         assert res.evaluations >= len(res.trace)
+
+
+class TestArcGrid:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_batched_grid_matches_per_constant_solves(self, n):
+        family = _ArcFamily(n, 2, UNIT_DISK, np.random.default_rng(n))
+        for t in (0.7, 1.0, 1.4):
+            span = 3.0 * (t + family.scale) ** n
+            grid = np.linspace(-span, span, 180)
+            batched = family._kth_dist(t, grid, family.spread)
+            single = [np.sort(distances(np.asarray(
+                family.zeros_at(t, c, family.spread)), UNIT_DISK))[1]
+                for c in grid]
+            assert np.max(np.abs(batched - single)) <= 1e-12
+            assert np.argmin(batched) == np.argmin(single)
 
 
 class TestAsymptoticExperiment:
@@ -107,6 +125,22 @@ class TestConjectureProbe:
                                 n_values=(10,))
         row = rows[0]
         assert row.failure_rate == pytest.approx(row.failures / row.trials)
+
+    def test_draws_unchanged(self):
+        # rows recorded before the probe drew through random_instance
+        rows = conjecture_probe(Segment(0, 1), 0.02, [0.5, 1.0, 3.0], trials=8,
+                                seed=2024, n_values=(6, 10))
+        assert [(r.ratio, r.n, r.k, r.failures, r.worst_shortfall)
+                for r in rows] == [(0.5, 6, 2, 0, 0), (0.5, 10, 3, 5, 2),
+                                   (1.0, 6, 3, 4, 1), (1.0, 10, 5, 3, 1),
+                                   (3.0, 6, 4, 0, 0), (3.0, 10, 8, 0, 0)]
+
+    def test_random_instance_takes_a_generator(self):
+        gen = np.random.default_rng(5)
+        first = random_instance(7, 3, UNIT_DISK, 0.5, 3.0, gen)
+        second = random_instance(7, 3, UNIT_DISK, 0.5, 3.0, gen)
+        assert first == random_instance(7, 3, UNIT_DISK, 0.5, 3.0, seed=5)
+        assert second != first
 
 
 class TestScaleLaw:

@@ -11,6 +11,7 @@ from aglucas import (MultiplicityViolation, NonConvergence, Polynomial,
                      distance, from_points, log_derivative,
                      log_derivative_values, poly_derivative, poly_eval,
                      poly_roots, rational_eval, rational_product)
+from aglucas.rational import _aberth
 from conftest import match_multisets
 
 Z2_MINUS_1 = Polynomial((-1, 0, 1))
@@ -97,6 +98,35 @@ class TestPolyRoots:
                 scale = scale * rmax + abs(c)
             assert rs.residual <= 1e-12 * (deg + 1) * scale
 
+
+class TestBatchedAberth:
+    """_aberth solves a (B, deg + 1) stack of coefficient rows at once."""
+
+    def test_rows_match_one_row_calls_bitwise(self, rng):
+        for deg in (3, 6, 17):
+            rows = (rng.standard_normal((40, deg + 1))
+                    + 1j * rng.standard_normal((40, deg + 1)))
+            rows[::7, 0] = 0.0
+            roots, residuals = _aberth(rows, 1e-12, 200)
+            assert roots.shape == (40, deg) and residuals.shape == (40,)
+            for b in range(40):
+                one, res = _aberth(rows[b:b + 1], 1e-12, 200)
+                assert np.array_equal(one[0], roots[b])
+                assert res[0] == residuals[b]
+
+    def test_zero_constant_term_gives_origin_root(self):
+        rows = np.array([[0, -2, 0, 1], [-1, 0, 0, 1]], dtype=np.complex128)
+        roots, _ = _aberth(rows, 1e-12, 200)
+        assert min(abs(roots[0])) <= 1e-12
+        assert match_multisets(roots[0], [0, math.sqrt(2), -math.sqrt(2)],
+                               1e-12)
+        assert match_multisets(roots[1], np.exp(2j * np.pi * np.arange(3) / 3),
+                               1e-12)
+
+    def test_batch_budget_exhausted(self, rng):
+        rows = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        with pytest.raises(NonConvergence):
+            _aberth(rows, 1e-12, 1)
 
 class TestCriticalPoints:
     def test_symmetric_quadratic(self):
