@@ -19,7 +19,7 @@ from scipy.optimize import minimize, minimize_scalar
 from .errors import HypothesisUnmet, InsufficientCriticalPoints, \
     NonConvergence
 from .engine import count_in, random_instance
-from .rational import ROOT_TOL, Polynomial, RationalFunction, _aberth, \
+from .rational import Polynomial, RationalFunction, _aberth, \
     critical_points, poly_roots
 from .regions import ConvexRegion, Disk, centroid, diameter, distance, \
     distances, sample_point
@@ -136,31 +136,35 @@ class _ArcFamily:
         self.spread = rng.uniform(0.004, 0.02)
         self.scale = max(region.radius, 1e-3)
 
-    def coefficients(self, t, spread, dtype=np.complex128) -> np.ndarray:
-        """Ascending coefficients, in ``dtype``, of the degree-n polynomial
-        with integration constant 0 whose critical points are the n - 1 arc
-        points t * exp(i * (j - (n - 2) / 2) * spread)."""
+    def coefficients(self, t, spread, dtype=complex) -> list:
+        """Coefficients of degree 1..n, ascending, of the polynomial whose
+        critical points are the n - 1 arc points
+        t * exp(i * (j - (n - 2) / 2) * spread); the constant term is the
+        caller's integration constant.  ``dtype`` is ``complex`` for Python
+        arithmetic or a numpy complex type for numpy scalars of that type."""
         n = self.n
-        real = np.finfo(dtype).dtype
-        angles = ((np.arange(n - 1) - (n - 2) / 2.0) * spread).astype(real)
-        t = real.type(t)
-        # prod(z - w) expanded on real and imaginary parts: plain products
-        # and sums, rounded the same way in every dtype
-        re, im = np.ones(1, dtype=real), np.zeros(1, dtype=real)
-        for wr, wi in zip(t * np.cos(angles), t * np.sin(angles)):
-            nre, nim = np.zeros(len(re) + 1, real), np.zeros(len(re) + 1, real)
-            nre[1:], nim[1:] = re, im
-            nre[:-1] -= wr * re - wi * im
-            nim[:-1] -= wr * im + wi * re
-            re, im = nre, nim
-        out = np.zeros(n + 1, dtype=dtype)
-        j = np.arange(1, n + 1)
-        out.real[1:], out.imag[1:] = n * re / j, n * im / j
-        return out
+        if dtype is complex:
+            one = 1.0 + 0j
+
+            def cis(a):
+                return complex(math.cos(a), math.sin(a))
+        else:
+            one, t = dtype(1), dtype(t)
+
+            def cis(a):
+                return np.cos(np.longdouble(a)) + 1j * np.sin(np.longdouble(a))
+        coeffs = [one]
+        for j in range(n - 1):
+            w = t * cis((j - (n - 2) / 2.0) * spread)
+            nxt = [0 * one] * (len(coeffs) + 1)
+            for idx, c in enumerate(coeffs):
+                nxt[idx] -= w * c
+                nxt[idx + 1] += c
+            coeffs = nxt
+        return [n * c / j for j, c in enumerate(coeffs, 1)]
 
     def zeros_at(self, t, const, spread, polish=False):
-        pcoef = self.coefficients(t, spread)
-        pcoef[0] = const
+        pcoef = [const] + self.coefficients(t, spread)
         roots = np.asarray(poly_roots(Polynomial(tuple(pcoef))).points)
         if polish:
             roots = self._polish(t, const, spread, roots)
@@ -169,11 +173,10 @@ class _ArcFamily:
     def _polish(self, t, const, spread, roots):
         # Newton in extended precision; double-rounded zeros get amplified
         # through the near-degenerate critical cluster otherwise.
-        pc = self.coefficients(t, spread, getattr(np, "complex256",
-                                                  np.complex128))
-        pc[0] = const
+        dtype = getattr(np, "complex256", np.complex128)
+        pc = np.array([const] + self.coefficients(t, spread, dtype), dtype)
         n = self.n
-        z = roots.astype(pc.dtype)
+        z = roots.astype(dtype)
         for _ in range(4):
             pv = np.full_like(z, pc[n])
             dv = np.zeros_like(z)
@@ -193,9 +196,9 @@ class _ArcFamily:
     def _kth_dist(self, t, consts, spread):
         """The k-th smallest zero distance for each integration constant,
         from one batched root solve."""
-        rows = np.tile(self.coefficients(t, spread), (len(consts), 1))
+        rows = np.tile([0j] + self.coefficients(t, spread), (len(consts), 1))
         rows[:, 0] = consts
-        roots, _ = _aberth(rows, ROOT_TOL, 200)
+        roots, _ = _aberth(rows)
         return self._kth_smallest(self.region.center + self.direction * roots)
 
     def _best_const(self, t, spread):

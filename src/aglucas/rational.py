@@ -18,11 +18,12 @@ import numpy as np
 from .errors import MultiplicityViolation, NonConvergence
 
 ROOT_TOL = 1e-12     # per-root correction tolerance for the root iteration
+MAX_ITERATIONS = 200  # round budget of the polynomial root iteration
 CLUSTER_TOL = 1e-9   # grouping tolerance for multiplicity and cancellation
 
 _MOMENT_REL = 1e-9   # moments below this relative floor are roundoff survivors
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-_SMALL_DEGREE = 14   # below this, plain Python beats numpy dispatch overhead
+_SMALL_DEGREE = 17   # up to this, plain Python beats numpy dispatch overhead
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def poly_derivative(p: Polynomial) -> Polynomial:
 
 
 def poly_roots(p: Polynomial, root_tol: float = ROOT_TOL,
-               max_iterations: int = 200) -> RootSet:
+               max_iterations: int = MAX_ITERATIONS) -> RootSet:
     """All deg(p) roots with multiplicity, by simultaneous (Aberth) iteration.
 
     Raises NonConvergence if the corrections have not settled after
@@ -161,7 +162,8 @@ def _initial_circle(radius: float, deg: int) -> list:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _aberth(coeffs: np.ndarray, root_tol: float, max_iterations: int):
+def _aberth(coeffs: np.ndarray, root_tol: float = ROOT_TOL,
+            max_iterations: int = MAX_ITERATIONS):
     """Aberth iteration on every row of a (B, deg + 1) stack of ascending
     coefficient rows at once; returns the (B, deg) roots and each row's
     largest |p| at them.
@@ -174,29 +176,33 @@ def _aberth(coeffs: np.ndarray, root_tol: float, max_iterations: int):
     roots = np.empty((count, deg), dtype=np.complex128)
     residuals = np.empty(count)
     active = np.arange(count)
-    c = coeffs[:, :, None]  # c[:, i]: coefficient i of each row, as a column
+    # c[i]: coefficient i of every active row, as a column
+    c = np.ascontiguousarray(coeffs.T, dtype=np.complex128)[:, :, None]
     abs_c = np.abs(c)
     z = np.outer([_start_radius(row, deg) for row in coeffs.tolist()],
                  _initial_circle(1.0, deg))
+    # root-root terms, rewritten in place every step
+    pair_buf = np.empty((count, deg, deg), dtype=np.complex128)
+    diagonal = np.arange(deg)
     eps = np.finfo(float).eps
     for _ in range(max_iterations):
-        pv = np.repeat(c[:, deg], deg, axis=1)
+        pv = np.repeat(c[deg], deg, axis=1)
         dv = np.zeros_like(z)
-        fv = np.repeat(abs_c[:, deg], deg, axis=1)
+        fv = np.repeat(abs_c[deg], deg, axis=1)
         az = np.abs(z)
         for i in range(deg - 1, -1, -1):
-            dv = dv * z + pv
-            pv = pv * z + c[:, i]
-            fv = fv * az + abs_c[:, i]
+            dv *= z
+            dv += pv
+            pv *= z
+            pv += c[i]
+            fv *= az
+            fv += abs_c[i]
         settled = np.abs(pv) <= 8.0 * eps * fv
-        # one column of root-root terms at a time: a (rows, deg, deg) array
-        # added about 0.6 MB to search_psi's peak resident set and was no
-        # faster on its arc grids (deg <= 8)
-        srep = np.zeros_like(z)
-        for j in range(deg):
-            d = z - z[:, j:j + 1]
-            d[:, j] = np.inf
-            srep += 1.0 / d
+        pair = pair_buf[:len(z)]
+        np.subtract(z[:, :, None], z[:, None, :], out=pair)
+        pair[:, diagonal, diagonal] = np.inf
+        np.reciprocal(pair, out=pair)
+        srep = pair.sum(axis=2)
         newton = pv / dv
         step = newton / (1.0 - newton * srep)
         step = np.where(np.isfinite(step), step,
@@ -206,10 +212,11 @@ def _aberth(coeffs: np.ndarray, root_tol: float, max_iterations: int):
         done = settled | (np.abs(step) <= root_tol * np.maximum(1.0, np.abs(z)))
         finished = done.all(axis=1)
         if finished.any():
-            zf, cf = z[finished], c[finished]
-            pv = np.repeat(cf[:, deg], deg, axis=1)
+            zf, cf = z[finished], c[:, finished]
+            pv = np.repeat(cf[deg], deg, axis=1)
             for i in range(deg - 1, -1, -1):
-                pv = pv * zf + cf[:, i]
+                pv *= zf
+                pv += cf[i]
             rows = active[finished]
             roots[rows] = zf
             residuals[rows] = np.abs(pv).max(axis=1)
@@ -217,7 +224,7 @@ def _aberth(coeffs: np.ndarray, root_tol: float, max_iterations: int):
             if not keep.any():
                 return roots, residuals
             active, z = active[keep], z[keep]
-            c, abs_c, fv = c[keep], abs_c[keep], fv[keep]
+            c, abs_c, fv = c[:, keep], abs_c[:, keep], fv[keep]
     raise NonConvergence(
         f"root corrections not settled after {max_iterations} iterations"
         + ("" if np.isfinite(fv).all() else "; the iterates overflowed"))

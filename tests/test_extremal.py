@@ -71,6 +71,20 @@ class TestArcGrid:
             assert np.max(np.abs(batched - single)) <= 1e-12
             assert np.argmin(batched) == np.argmin(single)
 
+    def test_builder_places_critical_points_on_the_arc(self):
+        n, t = 7, 1.1
+        family = _ArcFamily(n, 2, UNIT_DISK, np.random.default_rng(0))
+        arc = t * np.exp(1j * (np.arange(n - 1) - (n - 2) / 2.0)
+                         * family.spread)
+        for dtype in (complex, getattr(np, "complex256", np.complex128)):
+            coeffs = np.array(family.coefficients(t, family.spread, dtype),
+                              dtype=np.complex128)
+            # p' / n = prod(z - arc point), ascending
+            monic = coeffs * np.arange(1, n + 1) / n
+            assert monic[-1] == 1
+            assert np.max(np.abs(
+                np.polynomial.polynomial.polyval(arc, monic))) <= 1e-13
+
 
 class TestAsymptoticExperiment:
     def test_no_outliers_full_capture(self):
