@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import (ContourBoundaryConflict, ContourNotFound, HypothesisUnmet,
                      MarginNonPositive, NonIntegerWinding, SampleAtSingularity)
-from .rational import (CLUSTER_TOL, RationalFunction, log_derivative_values,
-                       rational_product)
-from .regions import (CONTOUR_TOL, MEMBERSHIP_TOL, ConvexRegion, OffsetContour,
-                      distance, distances, offset_contour)
+from .rational import CLUSTER_TOL, RationalFunction, log_derivative_field
+# distance is unused here but stays a module global: perfbench wraps it by name
+from .regions import (CONTOUR_TOL, MEMBERSHIP_TOL, ConvexRegion,  # noqa: F401
+                      OffsetContour, distance, distances, offset_contour)
 
 MARGIN_FLOOR = 1e-8      # below this, dominance is numerically uncertain
 MAX_WINDING_SAMPLES = 2 ** 18
@@ -44,10 +44,11 @@ class ExclusionSet:
     balls: tuple[ExclusionBall, ...]
 
     def clears(self, samples: np.ndarray) -> bool:
-        for ball in self.balls:
-            if float(np.min(np.abs(samples - ball.center))) < 2.0 * ball.radius:
-                return False
-        return True
+        centers = np.array([b.center for b in self.balls], dtype=complex)
+        reach = np.array([2.0 * b.radius for b in self.balls])
+        # |z - c| - 2r < 0 exactly when |z - c| < 2r
+        return float(np.min(np.abs(samples - centers[:, None]) - reach[:, None],
+                            initial=math.inf)) >= 0.0
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,11 @@ def split_instance(f: RationalFunction, region: ConvexRegion,
                    ) -> tuple[RationalFunction, RationalFunction]:
     """Factor f into (inside, remainder): inside is the monic polynomial of
     the zeros of f lying in the region, remainder carries everything else."""
-    inside: list[complex] = []
-    outside: list[complex] = []
-    for z in f.zeros:
-        if distance(z, region)[0] <= membership_tol:
-            inside.append(z)
-        else:
-            outside.append(z)
-    return (RationalFunction(tuple(inside), (), 1.0),
-            RationalFunction(tuple(outside), f.poles, f.scale))
+    member = distances(f.zeros, region) <= membership_tol
+    inside = tuple(z for z, m in zip(f.zeros, member) if m)
+    outside = tuple(z for z, m in zip(f.zeros, member) if not m)
+    return (RationalFunction(inside, (), 1.0),
+            RationalFunction(outside, f.poles, f.scale))
 
 
 def perturb_to_simple(f: RationalFunction, delta: float = 1e-7, seed: int = 0,
@@ -87,36 +84,31 @@ def perturb_to_simple(f: RationalFunction, delta: float = 1e-7, seed: int = 0,
     """Displace coincident zeros/poles by independent offsets of magnitude at
     most delta so all points become pairwise distinct.  Already-simple input
     is returned unchanged; the result is deterministic for a fixed seed."""
-    pts = list(f.zeros) + list(f.poles)
-    if _pairwise_separated(pts, cluster_tol):
+    pts = np.asarray(f.zeros + f.poles, dtype=np.complex128)
+    crowded = _crowded(pts, cluster_tol)
+    if not crowded.any():
         return f
     rng = np.random.default_rng(seed)
     for _ in range(100):
-        moved = _displace_clusters(pts, delta, cluster_tol, rng)
-        if _pairwise_separated(moved, cluster_tol):
+        # a uniform draw from the delta-disk for each crowded point, in index
+        # order: radius, then angle
+        u = rng.random((int(crowded.sum()), 2))
+        th = 2.0 * math.pi * u[:, 1]
+        moved = pts.copy()
+        moved[crowded] += (delta * np.sqrt(u[:, 0])
+                           * (np.cos(th) + 1j * np.sin(th)))
+        if not _crowded(moved, cluster_tol).any():
             nz = len(f.zeros)
-            return RationalFunction(tuple(moved[:nz]), tuple(moved[nz:]), f.scale)
+            return RationalFunction(tuple(moved[:nz].tolist()),
+                                    tuple(moved[nz:].tolist()), f.scale)
     raise RuntimeError("could not separate coincident points; raise delta")
 
 
-def _pairwise_separated(pts, tol: float) -> bool:
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) <= tol:
-                return False
-    return True
-
-
-def _displace_clusters(pts, delta, tol, rng):
-    moved = list(pts)
-    for i in range(len(pts)):
-        crowded = any(abs(pts[i] - pts[j]) <= tol
-                      for j in range(len(pts)) if j != i)
-        if crowded:
-            r = delta * math.sqrt(rng.random())
-            th = 2.0 * math.pi * rng.random()
-            moved[i] = pts[i] + r * complex(math.cos(th), math.sin(th))
-    return moved
+def _crowded(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the points lying within tol of another point."""
+    gap = np.abs(pts[:, None] - pts)
+    np.fill_diagonal(gap, np.inf)
+    return (gap <= tol).any(axis=1)
 
 
 def exclusion_set(remainder: RationalFunction, eps: float,
@@ -162,32 +154,33 @@ def find_contour(region: ConvexRegion, eps: float, excl: ExclusionSet,
         "no constant-offset contour clears the exclusion balls")
 
 
+def _field(f: RationalFunction, samples: np.ndarray, cluster_tol: float):
+    """f'/f and its slope on the samples; raises SampleAtSingularity when a
+    sample lies within cluster_tol of a zero or pole of f."""
+    value, slope, nearest = log_derivative_field(f, samples)
+    if nearest <= cluster_tol:
+        raise SampleAtSingularity(f"sample {nearest:.1e} from a zero/pole")
+    return value, slope
+
+
 def rouche_margin(inside: RationalFunction, remainder: RationalFunction,
                   contour: OffsetContour,
                   cluster_tol: float = CLUSTER_TOL) -> float:
     """Minimum over the contour samples of |inside'/inside| - |rem'/rem|,
-    both logarithmic derivatives evaluated by their partial-fraction sums.
+    both logarithmic derivatives taken from log_derivative_field.
 
     Positive margin is the Rouche hypothesis for transferring zero counts.
     """
-    z = contour.samples
-    for w in (inside.zeros + inside.poles
-              + remainder.zeros + remainder.poles):
-        if float(np.min(np.abs(z - w))) <= cluster_tol:
-            raise SampleAtSingularity(f"contour sample at zero/pole {w}")
-    gv = np.abs(log_derivative_values(inside, z)) if not inside.is_constant \
-        else np.zeros(len(z))
-    hv = np.abs(log_derivative_values(remainder, z)) \
-        if not remainder.is_constant else np.zeros(len(z))
-    return float(np.min(gv - hv))
+    g, _ = _field(inside, contour.samples, cluster_tol)
+    h, _ = _field(remainder, contour.samples, cluster_tol)
+    return float(np.min(np.abs(g) - np.abs(h)))
 
 
 def _winding_from_values(values: np.ndarray, samples: np.ndarray) -> int:
     """Trapezoidal closed-curve integral of the sampled integrand, divided by
     2*pi*i and snapped to the nearest integer."""
-    nxt_v = np.roll(values, -1)
-    nxt_z = np.roll(samples, -1)
-    integral = np.sum((nxt_z - samples) * (values + nxt_v) / 2.0)
+    integral = (np.sum((samples[1:] - samples[:-1]) * (values[1:] + values[:-1]))
+                + (samples[0] - samples[-1]) * (values[0] + values[-1])) / 2.0
     raw = integral / (2j * math.pi)
     nearest = round(raw.real)
     if abs(raw - nearest) > _WINDING_TOL:
@@ -203,27 +196,8 @@ def winding_count(f: RationalFunction, contour: OffsetContour,
 
     Raises NonIntegerWinding when the sampling is too coarse to trust.
     """
-    z = contour.samples
-    for w in f.zeros + f.poles:
-        if float(np.min(np.abs(z - w))) <= cluster_tol:
-            raise SampleAtSingularity(f"zero/pole {w} lies on the contour")
-    return _winding_from_values(log_derivative_values(f, z), z)
-
-
-def _log_derivative_field(f: RationalFunction, z: np.ndarray):
-    """Values of F and F' at z for F = f'/f, from the known points of f:
-    F = sum 1/(z-a) - sum 1/(z-b), F' = -sum 1/(z-a)^2 + sum 1/(z-b)^2."""
-    val = np.zeros_like(z)
-    slope = np.zeros_like(z)
-    for a in f.zeros:
-        inv = 1.0 / (z - a)
-        val += inv
-        slope -= inv * inv
-    for b in f.poles:
-        inv = 1.0 / (z - b)
-        val -= inv
-        slope += inv * inv
-    return val, slope
+    value, _ = _field(f, contour.samples, cluster_tol)
+    return _winding_from_values(value, contour.samples)
 
 
 def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
@@ -265,30 +239,32 @@ def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
 
     excl = exclusion_set(remainder, eps, max(n - k, 1))
     contour = find_contour(region, eps, excl, min_samples)
-    margin = rouche_margin(inside, remainder, contour)
-    if margin <= margin_floor:
-        raise MarginNonPositive(
-            f"dominance margin {margin:.3e} is not safely positive")
-
-    product = rational_product(inside, remainder)
+    margin = math.inf
     while True:
-        val, slope = _log_derivative_field(product, contour.samples)
+        # G = g'/g, H = h'/h: the margin needs |G| - |H| and the winding of
+        # F = G + H, the product's f'/f, integrates F'/F
+        g, dg = _field(inside, contour.samples, CLUSTER_TOL)
+        h, dh = _field(remainder, contour.samples, CLUSTER_TOL)
+        margin = min(margin, float(np.min(np.abs(g) - np.abs(h))))
+        if margin <= margin_floor:
+            raise MarginNonPositive(
+                f"dominance margin {margin:.3e} is not safely positive "
+                f"on {len(contour.samples)} samples")
+        val = g + h
         if float(np.min(np.abs(val))) == 0.0:
             raise SampleAtSingularity("integrand vanished at a contour sample")
         try:
-            winding = _winding_from_values(slope / val, contour.samples)
+            winding = _winding_from_values((dg + dh) / val, contour.samples)
             break
         except NonIntegerWinding:
             if len(contour.samples) * 2 > MAX_WINDING_SAMPLES:
                 raise
             contour = offset_contour(region, contour.offset_distance,
                                      len(contour.samples) * 2)
-            margin = min(margin, rouche_margin(inside, remainder, contour))
-            if margin <= margin_floor:
-                raise MarginNonPositive(
-                    f"dominance margin {margin:.3e} lost under refinement")
 
-    pts = np.asarray(product.zeros + product.poles, dtype=np.complex128)
+    # perturb_to_simple left every two points over CLUSTER_TOL apart, so the
+    # product of inside and remainder cancels nothing: it is `combined`
+    pts = np.asarray(combined.zeros + combined.poles, dtype=np.complex128)
     dist = distances(pts, region)
     if bool(np.any(np.abs(dist - contour.offset_distance) <= contour_tol)):
         raise ContourBoundaryConflict("a zero/pole lies on the contour")
@@ -303,5 +279,5 @@ def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
         valid=bound >= k - 1,
         eps=eps,
         k=k,
-        function=product,
+        function=combined,
     )

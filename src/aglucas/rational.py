@@ -24,6 +24,7 @@ CLUSTER_TOL = 1e-9   # grouping tolerance for multiplicity and cancellation
 _MOMENT_REL = 1e-9   # moments below this relative floor are roundoff survivors
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _SMALL_DEGREE = 17   # up to this, plain Python beats numpy dispatch overhead
+_BLOCK_TERMS = 2 ** 15  # (point, sample) terms per log_derivative_field block
 
 
 @dataclass(frozen=True)
@@ -487,12 +488,35 @@ def rational_eval(f: RationalFunction, z):
 
 
 def log_derivative_values(f: RationalFunction, z):
-    """f'/f at z (scalar or array) via the partial-fraction sum
-    sum 1/(z - zero) - sum 1/(z - pole), multiplicities as repetition."""
+    """f'/f at z (scalar or array): the value part of log_derivative_field."""
     arr = np.asarray(z, dtype=np.complex128)
-    acc = np.zeros_like(arr)
-    for a in f.zeros:
-        acc = acc + 1.0 / (arr - a)
-    for b in f.poles:
-        acc = acc - 1.0 / (arr - b)
-    return complex(acc) if np.isscalar(z) or arr.ndim == 0 else acc
+    value = log_derivative_field(f, arr.ravel())[0].reshape(arr.shape)
+    return complex(value) if arr.ndim == 0 else value
+
+
+def log_derivative_field(f: RationalFunction, z: np.ndarray):
+    """(F, F', least distance from a sample to a point of f) at the 1-d
+    samples z: F = f'/f = sum 1/(z - a) - sum 1/(z - b) over zeros a and poles
+    b, repeated by multiplicity, and F' = sum 1/(z - b)^2 - sum 1/(z - a)^2.
+    At most _BLOCK_TERMS (point, sample) terms exist at a time."""
+    nz = len(f.zeros)
+    pts = np.asarray(f.zeros + f.poles, dtype=np.complex128)[:, None]
+    value = np.empty_like(z)
+    slope = np.empty_like(z)
+    nearest = math.inf
+    step = max(1, _BLOCK_TERMS // max(len(pts), 1))
+    with np.errstate(divide="ignore", invalid="ignore"):   # inf at a point
+        for lo in range(0, len(z), step):
+            hi = lo + step
+            # fill then shift: numpy buffers each broadcast operand, and
+            # z - pts would have two, each up to the size of the block
+            terms = np.empty((len(pts), len(z[lo:hi])), dtype=np.complex128)
+            terms[:] = z[lo:hi]
+            terms -= pts
+            nearest = min(nearest, float(np.min(np.abs(terms),
+                                                initial=math.inf)))
+            np.reciprocal(terms, out=terms)
+            value[lo:hi] = terms[:nz].sum(axis=0) - terms[nz:].sum(axis=0)
+            np.square(terms, out=terms)
+            slope[lo:hi] = terms[nz:].sum(axis=0) - terms[:nz].sum(axis=0)
+    return value, slope, nearest

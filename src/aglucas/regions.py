@@ -250,29 +250,23 @@ def offset_contour(region: ConvexRegion, d: float,
     if min_samples < 4:
         raise ValueError("need at least 4 samples")
     pieces = _offset_pieces(region, d)
-    lengths = []
-    for piece in pieces:
-        if piece[0] == "arc":
-            lengths.append(piece[2] * piece[4])
-        else:
-            lengths.append(abs(piece[2] - piece[1]))
-    total = sum(lengths)
-    h = total / min_samples
-    samples: list[complex] = []
+    lengths = [p[2] * p[4] if p[0] == "arc" else abs(p[2] - p[1])
+               for p in pieces]
+    h = sum(lengths) / min_samples
+    parts = []
     for piece, length in zip(pieces, lengths):
         if length == 0:
             continue
         m = max(1, math.ceil(length / h - 1e-12))
+        j = np.arange(m)
         if piece[0] == "arc":
             _, center, radius, th0, sweep = piece
-            for j in range(m):
-                th = th0 + sweep * j / m
-                samples.append(center + radius * complex(math.cos(th), math.sin(th)))
+            th = th0 + sweep * j / m
+            parts.append(center + radius * (np.cos(th) + 1j * np.sin(th)))
         else:
             _, start, end = piece
-            for j in range(m):
-                samples.append(start + (end - start) * (j / m))
-    return OffsetContour(np.array(samples), d, region)
+            parts.append(start + (end - start) * (j / m))
+    return OffsetContour(np.concatenate(parts), d, region)
 
 
 def scale_region(region: ConvexRegion, factor: complex) -> ConvexRegion:

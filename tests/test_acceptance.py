@@ -23,6 +23,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"[acceptance] criterion {num} ({name}): {state} {detail}".rstrip())
 
 
+@pytest.mark.slow
 def test_criterion_1_kakeya_exactness():
     t0 = time.time()
     worst = 0.0
@@ -259,6 +260,7 @@ def test_criterion_8_capture_fraction_sweep():
         "outlier makes 1.0 unreachable")
 
 
+@pytest.mark.slow
 def test_criterion_9_scale_law():
     f = ag.from_points([0, 1, 1j], [])
     base = ag.required_epsilon(f, UNIT_SEGMENT, 2)

@@ -1,14 +1,17 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aglucas import (ContourNotFound, Disk, ExclusionBall, ExclusionSet,
-                     RationalFunction, Segment, certify, count_in,
-                     critical_points, exclusion_set, find_contour,
+from aglucas import (AGLError, ContourNotFound, Disk, ExclusionBall,
+                     ExclusionSet, RationalFunction, SampleAtSingularity,
+                     Segment, certify, count_in, critical_points,
+                     eps_threshold_general, exclusion_set, find_contour,
                      from_points, log_derivative, offset_contour,
-                     perturb_to_simple, random_instance, rouche_margin,
-                     split_instance, winding_count)
+                     perturb_to_simple, random_instance, rational_product,
+                     rouche_margin, split_instance, winding_count)
 from conftest import match_multisets
 
 UNIT_DISK = Disk(0, 1)
@@ -34,6 +37,13 @@ class TestSplitInstance:
         inside, rem = split_instance(f, UNIT_DISK)
         assert len(inside.zeros) == 3
         assert rem.is_constant
+
+    def test_membership_boundary_is_closed(self):
+        # distance exactly MEMBERSHIP_TOL = 1e-9 from the segment
+        f = RationalFunction((0.5 + 1e-9j, 0.5 + 2e-9j), (), 1)
+        inside, rem = split_instance(f, Segment(0, 1))
+        assert inside.zeros == (0.5 + 1e-9j,)
+        assert rem.zeros == (0.5 + 2e-9j,)
 
     def test_product_reproduces_instance(self):
         f = RationalFunction((0, 0.5, 4), (2j,), 1)
@@ -66,6 +76,40 @@ class TestPerturbToSimple:
         out = perturb_to_simple(f, delta=1e-7, seed=3)
         assert all(abs(z - 1j) <= 1e-7 for z in out.zeros)
 
+    # perturb_to_simple(f, seed=seed) as recorded from the per-point loops
+    # that drew each crowded point's offsets with two scalar rng calls
+    @pytest.mark.parametrize("f, seed, zeros, poles", [
+        (RationalFunction((0, 0, 1j, 1j, 0.5), (0.5, 2), 1), 9,
+         (complex(-2.1388099573792617e-08, 9.08022094242336e-08),
+          complex(1.3368846661068264e-08, -7.650330345461209e-08),
+          complex(7.293968988790345e-08, 0.9999999570983924),
+          complex(8.078413772952246e-08, 0.999999954416455),
+          complex(0.4999999849453542, 6.2637835475159125e-09)),
+         (complex(0.5000000638837203, 2.771846942323902e-08),
+          complex(2.0, 0.0))),
+        (RationalFunction((1j,) * 5, (), 1), 3,
+         (complex(2.4225476918776796e-09, 1.0000000291654407),
+          complex(-7.784862774620319e-08, 0.9999999558147558),
+          complex(-2.801172609308602e-08, 1.0000000125151758),
+          complex(3.718228094763839e-08, 1.0000000583780007),
+          complex(6.47608129028374e-08, 1.000000056140971)),
+         ()),
+        (RationalFunction((0.2, 0.2, -0.3, 0.05, 0.05 + 1e-10), (-0.3, 1.5),
+                          2), 4,
+         (complex(0.19999990313478386, -6.905863763865762e-09),
+          complex(0.2000000863322921, 4.805384897174171e-08),
+          complex(-0.30000005561929377, 5.458985691878934e-08),
+          complex(0.05000004089090584, 7.966772175563861e-08),
+          complex(0.04999991027436426, -2.5450106201721783e-08)),
+         (complex(-0.30000009400804173, 1.3588189032428423e-08),
+          complex(1.5, 0.0))),
+    ])
+    def test_matches_recorded_perturbation(self, f, seed, zeros, poles):
+        out = perturb_to_simple(f, seed=seed)
+        assert out.zeros == zeros
+        assert out.poles == poles
+        assert out.scale == f.scale
+
 
 class TestExclusionSet:
     def test_constant_remainder_empty(self):
@@ -82,6 +126,25 @@ class TestExclusionSet:
         eps, m = 0.8, 5
         radius = eps / (8 * m)
         assert 2 * m * radius == pytest.approx(eps / 4)
+
+    def test_clears_keeps_strict_rule(self):
+        samples = np.array([0j, 1j, -1.0])
+        # a sample at exactly twice the radius clears; any closer does not
+        assert ExclusionSet((ExclusionBall(2.0, 1.0),)).clears(samples)
+        assert not ExclusionSet((ExclusionBall(2.0, 1.0 + 1e-12),)).clears(
+            samples)
+        assert ExclusionSet(()).clears(samples)
+
+    def test_clears_matches_per_ball_loop(self, rng):
+        samples = offset_contour(UNIT_DISK, 0.5, 128).samples
+        for _ in range(200):
+            m = int(rng.integers(1, 6))
+            balls = tuple(ExclusionBall(complex(*rng.uniform(-2, 2, 2)),
+                                        float(rng.uniform(0.01, 0.3)))
+                          for _ in range(m))
+            expected = all(np.min(np.abs(samples - b.center)) >= 2 * b.radius
+                           for b in balls)
+            assert ExclusionSet(balls).clears(samples) == expected
 
 
 class TestFindContour:
@@ -135,6 +198,34 @@ class TestRoucheMargin:
                 break
         assert checked == 5
 
+
+class TestSampleAtSingularity:
+    CONTOUR = offset_contour(UNIT_DISK, 0.5, 64)
+
+    def test_margin_inside_zero_on_sample(self):
+        hit = complex(self.CONTOUR.samples[5])
+        with pytest.raises(SampleAtSingularity):
+            rouche_margin(RationalFunction((0, hit), (), 1),
+                          RationalFunction((), (), 1), self.CONTOUR)
+
+    def test_margin_remainder_pole_near_sample(self):
+        near = complex(self.CONTOUR.samples[17]) + 5e-10j
+        with pytest.raises(SampleAtSingularity):
+            rouche_margin(RationalFunction((0,), (), 1),
+                          RationalFunction((3,), (near,), 1), self.CONTOUR)
+
+    def test_winding_zero_or_pole_on_sample(self):
+        hit = complex(self.CONTOUR.samples[40])
+        for f in (RationalFunction((0, hit), (), 1),
+                  RationalFunction((0,), (hit,), 1)):
+            with pytest.raises(SampleAtSingularity):
+                winding_count(f, self.CONTOUR)
+
+    def test_point_just_beyond_tolerance_is_accepted(self):
+        clear = complex(self.CONTOUR.samples[3]) * (1 + 1e-8 / 1.5)
+        margin = rouche_margin(RationalFunction((0, clear), (), 1),
+                               RationalFunction((), (), 1), self.CONTOUR)
+        assert math.isfinite(margin)
 
 class TestWindingCount:
     def test_single_zero(self):
@@ -235,3 +326,64 @@ class TestCertify:
         cert = certify(f, Segment(0, 1), 0.8, 3)
         assert cert.valid
         assert cert.critical_lower_bound >= 2
+
+
+def _criterion3_instances(count):
+    """The first count instances of acceptance criterion 3's loop."""
+    grids = []
+    for n in range(18, 29):
+        for gap in (0, 1):
+            k = n - gap
+            if gap == 1 and math.sqrt(k) <= 4.0:
+                continue
+            for s in (1.0, 2.0):
+                eps = (0.2 + 0.3 * s if gap == 0
+                       else eps_threshold_general(n, k, s) * 1.25 + 1e-6)
+                grids.append((n, k, s, eps))
+    for gi in range(1, count + 1):
+        n, k, s, eps = grids[(gi - 1) % len(grids)]
+        seed = 50_000 + gi
+        region = Disk(0.1 - 0.2j, s / 2.0) if gi % 2 else \
+            Segment(-s / 2.0, s / 2.0)
+        f = random_instance(n, k, region, 0.4, 2.5 + 1.5 * s, seed=seed)
+        yield f, region, eps, k, seed
+
+
+class TestCertifyRecorded:
+    """certify against results recorded when the margin, the integrand and
+    the contour were computed one point or one sample at a time."""
+
+    def test_criterion3_instances(self):
+        data = json.loads((Path(__file__).parent / "data"
+                           / "certify_criterion3.json").read_text())
+        rows = data["rows"]
+        assert len(rows) == 200
+        for (f, region, eps, k, seed), row in zip(
+                _criterion3_instances(200), rows):
+            try:
+                cert = certify(f, region, eps, k, seed=seed)
+            except AGLError as exc:
+                assert [type(exc).__name__] == row
+                continue
+            valid, winding, inside, offset, margin, samples = row
+            assert cert.valid == valid
+            assert cert.winding == winding
+            assert cert.zeros_poles_inside == inside
+            assert cert.contour.offset_distance == offset
+            assert len(cert.contour.samples) == samples
+            assert cert.margin == pytest.approx(margin, rel=1e-12)
+
+    def test_function_is_the_reduced_product(self):
+        for f, region, eps, k, seed in _criterion3_instances(20):
+            try:
+                cert = certify(f, region, eps, k, seed=seed)
+            except AGLError:
+                continue
+            inside, rem = split_instance(f, region)
+            moved = perturb_to_simple(
+                RationalFunction(inside.zeros + rem.zeros, rem.poles,
+                                 f.scale), seed=seed)
+            n_in = len(inside.zeros)
+            assert cert.function == rational_product(
+                RationalFunction(moved.zeros[:n_in], (), 1.0),
+                RationalFunction(moved.zeros[n_in:], moved.poles, f.scale))

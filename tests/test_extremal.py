@@ -39,6 +39,7 @@ class TestSearchSmall:
         assert res.best_required_epsilon == pytest.approx(psi1_kakeya(3),
                                                           abs=1e-3)
 
+    @pytest.mark.slow
     def test_below_all_upper_bounds(self):
         for n, k in ((4, 2), (5, 3), (6, 5)):
             res = search_psi(n, k, UNIT_DISK, restarts=6, iters=200, seed=9)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aglucas import (MultiplicityViolation, NonConvergence, Polynomial,
+from aglucas import (Disk, MultiplicityViolation, NonConvergence, Polynomial,
                      RationalFunction, convex_hull_region, critical_points,
                      distance, from_points, log_derivative,
-                     log_derivative_values, poly_derivative, poly_eval,
-                     poly_roots, rational_eval, rational_product)
-from aglucas.rational import _aberth
+                     log_derivative_values, offset_contour, poly_derivative,
+                     poly_eval, poly_roots, rational_eval, rational_product)
+from aglucas import rational
+from aglucas.rational import _aberth, log_derivative_field
 from conftest import match_multisets
 
 Z2_MINUS_1 = Polynomial((-1, 0, 1))
@@ -290,6 +292,90 @@ class TestLogDerivative:
                 fz = log_derivative_values(f, z)
                 witness = sum(1 / abs(z - w) for w in f.zeros + f.poles)
                 assert abs(fz) <= 1e-8 * witness
+
+
+def _per_point_field(zeros, poles, samples):
+    """f'/f, its slope and the nearest sample-to-point distance, summed one
+    point at a time in Python complex arithmetic."""
+    values, slopes = [], []
+    for z in samples.tolist():
+        values.append(sum(1 / (z - a) for a in zeros)
+                      - sum(1 / (z - b) for b in poles))
+        slopes.append(sum(1 / (z - b) ** 2 for b in poles)
+                      - sum(1 / (z - a) ** 2 for a in zeros))
+    nearest = min((abs(z - w) for z in samples.tolist()
+                   for w in zeros + poles), default=math.inf)
+    return np.array(values), np.array(slopes), nearest
+
+
+class TestLogDerivativeField:
+    def _check(self, f, samples):
+        value, slope, nearest = log_derivative_field(f, samples)
+        ref_value, ref_slope, ref_nearest = _per_point_field(
+            f.zeros, f.poles, samples)
+        # relative to the sum of the terms' magnitudes, the scale of the
+        # rounding error whatever cancellation the signed sum has
+        pts = np.asarray(f.zeros + f.poles)
+        dist = np.abs(samples[:, None] - pts[None, :])
+        assert np.all(np.abs(value - ref_value)
+                      <= 1e-13 * (1 / dist).sum(axis=1))
+        assert np.all(np.abs(slope - ref_slope)
+                      <= 1e-13 * (1 / dist ** 2).sum(axis=1))
+        assert nearest == ref_nearest
+
+    def test_zeros_and_poles(self, rng):
+        f = RationalFunction(tuple(rng.standard_normal(6)
+                                   + 1j * rng.standard_normal(6)),
+                             tuple(rng.standard_normal(3)
+                                   + 1j * rng.standard_normal(3)), 2.0)
+        self._check(f, 4.0 * np.exp(2j * np.pi * np.arange(300) / 300))
+
+    def test_repeated_points(self):
+        f = RationalFunction((0.5, 0.5, 0.5, -0.25j), (1.5j, 1.5j, -2.0), 1)
+        self._check(f, np.linspace(-3 - 3j, 3 + 1j, 257))
+
+    def test_contour_longer_than_one_block(self, rng, monkeypatch):
+        # 64 terms per block: 6 samples of 10 points, so 51 blocks
+        monkeypatch.setattr(rational, "_BLOCK_TERMS", 64)
+        f = RationalFunction(tuple(rng.standard_normal(7)
+                                   + 1j * rng.standard_normal(7)),
+                             tuple(rng.standard_normal(3)
+                                   + 1j * rng.standard_normal(3)), 1)
+        self._check(f, offset_contour(Disk(0, 4), 0.5, 301).samples)
+
+    def test_poles_only_and_constant(self):
+        samples = np.array([1 + 1j, -2.0, 3j])
+        self._check(RationalFunction((), (0.5, -0.5j), 1), samples)
+        value, slope, nearest = log_derivative_field(
+            RationalFunction((), (), 3), samples)
+        assert np.all(value == 0) and np.all(slope == 0)
+        assert nearest == math.inf
+
+    def test_values_keep_input_shape(self):
+        f = RationalFunction((0.0, 1j), (2.0,), 1)
+        z = np.array([[1.0 + 1j, -1.0], [3j, 0.5 - 2j]])
+        grid = log_derivative_values(f, z)
+        assert grid.shape == (2, 2)
+        for index in np.ndindex(z.shape):
+            assert grid[index] == log_derivative_values(f, complex(z[index]))
+        assert isinstance(log_derivative_values(f, 1.0 + 1j), complex)
+
+    def test_terms_held_one_block_at_a_time(self):
+        # a contour refined to 2^15 samples around 40 points: the full
+        # (points x samples) matrix would take 20 MB
+        f = RationalFunction(tuple(np.exp(2j * np.pi * np.arange(40) / 40)),
+                             (), 1)
+        samples = offset_contour(Disk(0, 1), 1.0, 2 ** 15).samples
+        log_derivative_field(f, samples)
+        tracemalloc.start()
+        try:
+            log_derivative_field(f, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of 2^15 terms (512 KB), numpy's broadcast buffer and
+        # |terms| stay under 2 MB beside the two outputs
+        assert peak <= 2 * samples.nbytes + 2 * 2 ** 20
 
 
 class TestProductAndConstruction:

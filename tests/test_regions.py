@@ -9,6 +9,7 @@ from aglucas import (MEMBERSHIP_TOL, ConvexPolygon, Disk, Segment, centroid,
                      convex_hull_region, diameter, distance, distances,
                      in_neighborhood, offset_contour, sample_point,
                      scale_region)
+from aglucas.regions import _offset_pieces
 
 UNIT_DISK = Disk(0, 1)
 UNIT_SEGMENT = Segment(0, 1)
@@ -129,6 +130,99 @@ class TestOffsetContour:
     def test_rejects_nonpositive_offset(self):
         with pytest.raises(ValueError):
             offset_contour(UNIT_DISK, 0.0, 16)
+
+
+def _scalar_offset_contour(region, d, min_samples):
+    """One sample at a time, as offset_contour built contours before it
+    formed each piece as an array; kept as the reference."""
+    pieces = _offset_pieces(region, d)
+    lengths = [p[2] * p[4] if p[0] == "arc" else abs(p[2] - p[1])
+               for p in pieces]
+    h = sum(lengths) / min_samples
+    samples = []
+    for piece, length in zip(pieces, lengths):
+        if length == 0:
+            continue
+        m = max(1, math.ceil(length / h - 1e-12))
+        if piece[0] == "arc":
+            _, center, radius, th0, sweep = piece
+            for j in range(m):
+                th = th0 + sweep * j / m
+                samples.append(center + radius * complex(math.cos(th),
+                                                         math.sin(th)))
+        else:
+            _, start, end = piece
+            for j in range(m):
+                samples.append(start + (end - start) * (j / m))
+    return np.array(samples)
+
+
+# offset_contour(region, d, 8) as recorded from the per-sample construction
+RECORDED_CONTOURS = {
+    "disk": (Disk(0.3 - 0.2j, 1.5), 0.4, [
+        complex(2.1999999999999997, -0.2),
+        complex(1.6435028842544404, 1.1435028842544401),
+        complex(0.3000000000000001, 1.7),
+        complex(-1.04350288425444, 1.1435028842544404),
+        complex(-1.5999999999999999, -0.1999999999999998),
+        complex(-1.0435028842544405, -1.54350288425444),
+        complex(0.29999999999999966, -2.1),
+        complex(1.64350288425444, -1.5435028842544405)]),
+    "segment": (Segment(-1 + 0.5j, 2 - 1j), 0.3, [
+        complex(-1.1341640786499874, 0.23167184270002528),
+        complex(-0.38416407864998736, -0.14332815729997472),
+        complex(0.36583592135001264, -0.5183281572999747),
+        complex(1.1158359213500126, -0.8933281572999747),
+        complex(1.8658359213500126, -1.2683281572999747),
+        complex(2.134164078649987, -0.7316718427000253),
+        complex(1.3841640786499871, -0.3566718427000253),
+        complex(0.6341640786499871, 0.018328157299974723),
+        complex(-0.11583592135001286, 0.3933281572999747),
+        complex(-0.8658359213500126, 0.7683281572999747)]),
+    "point_segment": (Segment(0.7j, 0.7j), 0.25, [
+        complex(0.25, 0.7),
+        complex(0.1767766952966369, 0.8767766952966368),
+        complex(1.5308084989341915e-17, 0.95),
+        complex(-0.17677669529663687, 0.8767766952966368),
+        complex(-0.25, 0.7),
+        complex(-0.17677669529663692, 0.5232233047033631),
+        complex(-4.592425496802574e-17, 0.44999999999999996),
+        complex(0.17677669529663684, 0.523223304703363)]),
+    "square": (ConvexPolygon((0, 2, 2 + 2j, 2j)), 0.2, [
+        complex(0.0, -0.2),
+        complex(1.0, -0.2),
+        complex(2.0, -0.2),
+        complex(2.2, 0.0),
+        complex(2.2, 1.0),
+        complex(2.2, 2.0),
+        complex(2.0, 2.2),
+        complex(1.0, 2.2),
+        complex(1.2246467991473533e-17, 2.2),
+        complex(-0.2, 2.0),
+        complex(-0.2, 1.0),
+        complex(-0.2, 2.4492935982947065e-17)]),
+}
+
+
+class TestOffsetContourArrays:
+    @pytest.mark.parametrize("name", sorted(RECORDED_CONTOURS))
+    def test_matches_recorded_samples(self, name):
+        region, d, recorded = RECORDED_CONTOURS[name]
+        samples = offset_contour(region, d, 8).samples
+        expected = np.array(recorded)
+        assert samples.shape == expected.shape
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(samples - expected)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("name", sorted(RECORDED_CONTOURS))
+    @pytest.mark.parametrize("min_samples", [4, 100, 512, 1001])
+    def test_matches_scalar_construction(self, name, min_samples):
+        region, d, _ = RECORDED_CONTOURS[name]
+        samples = offset_contour(region, d, min_samples).samples
+        expected = _scalar_offset_contour(region, d, min_samples)
+        assert samples.shape == expected.shape
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(samples - expected)) <= 1e-15 * scale
 
 
 class TestConvexityAndScaling:
