@@ -28,6 +28,9 @@ from .regions import (CONTOUR_TOL, MEMBERSHIP_TOL, ConvexRegion,  # noqa: F401
 MARGIN_FLOOR = 1e-8      # below this, dominance is numerically uncertain
 MAX_WINDING_SAMPLES = 2 ** 18
 _WINDING_TOL = 0.1       # max distance of the raw integral to an integer
+# find_contour's order over its nine evenly spaced offsets: nearest the
+# midline first, equidistant pairs toward the smaller offset
+_MIDLINE_FIRST = (4, 3, 5, 2, 6, 1, 7, 0, 8)
 
 
 @dataclass(frozen=True)
@@ -142,12 +145,10 @@ def find_contour(region: ConvexRegion, eps: float, excl: ExclusionSet,
     if eps <= 0:
         raise ValueError("eps must be positive")
     clearance = eps / 20.0
-    candidates = np.linspace(eps / 2.0 + clearance, eps - clearance, 9)
-    midline = 0.75 * eps
-    # equidistant pairs tie toward the smaller offset, robust to rounding
-    for d in sorted(candidates,
-                    key=lambda d: (round(abs(d - midline) / eps, 9), d)):
-        contour = offset_contour(region, float(d), min_samples)
+    candidates = np.linspace(eps / 2.0 + clearance, eps - clearance,
+                             9).tolist()
+    for i in _MIDLINE_FIRST:
+        contour = offset_contour(region, candidates[i], min_samples)
         if excl.clears(contour.samples):
             return contour
     raise ContourNotFound(

@@ -6,7 +6,8 @@ class AGLError(Exception):
 
 
 class NonConvergence(AGLError):
-    """Root iteration failed to settle within the iteration budget."""
+    """A root solve failed: the iteration did not settle within its budget,
+    or the companion eigenvalue solve could not run or converge."""
 
 
 class MultiplicityViolation(AGLError):

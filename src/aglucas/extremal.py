@@ -19,8 +19,8 @@ from scipy.optimize import minimize, minimize_scalar
 from .errors import HypothesisUnmet, InsufficientCriticalPoints, \
     NonConvergence
 from .engine import count_in, random_instance
-from .rational import Polynomial, RationalFunction, _aberth, \
-    critical_points, poly_roots
+from .rational import _REFINE_DTYPE, Polynomial, RationalFunction, \
+    _companion_roots, critical_points, poly_roots
 from .regions import ConvexRegion, Disk, centroid, diameter, distance, \
     distances, sample_point
 
@@ -173,10 +173,10 @@ class _ArcFamily:
     def _polish(self, t, const, spread, roots):
         # Newton in extended precision; double-rounded zeros get amplified
         # through the near-degenerate critical cluster otherwise.
-        dtype = getattr(np, "complex256", np.complex128)
-        pc = np.array([const] + self.coefficients(t, spread, dtype), dtype)
+        pc = np.array([const] + self.coefficients(t, spread, _REFINE_DTYPE),
+                      _REFINE_DTYPE)
         n = self.n
-        z = roots.astype(dtype)
+        z = roots.astype(_REFINE_DTYPE)
         for _ in range(4):
             pv = np.full_like(z, pc[n])
             dv = np.zeros_like(z)
@@ -198,7 +198,7 @@ class _ArcFamily:
         from one batched root solve."""
         rows = np.tile([0j] + self.coefficients(t, spread), (len(consts), 1))
         rows[:, 0] = consts
-        roots, _ = _aberth(rows)
+        roots = _companion_roots(rows)
         return self._kth_smallest(self.region.center + self.direction * roots)
 
     def _best_const(self, t, spread):

@@ -17,13 +17,11 @@ import numpy as np
 
 from .errors import MultiplicityViolation, NonConvergence
 
-ROOT_TOL = 1e-12     # per-root correction tolerance for the root iteration
-MAX_ITERATIONS = 200  # round budget of the polynomial root iteration
+ROOT_TOL = 1e-12     # per-root correction tolerance for the secular iteration
 CLUSTER_TOL = 1e-9   # grouping tolerance for multiplicity and cancellation
 
 _MOMENT_REL = 1e-9   # moments below this relative floor are roundoff survivors
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-_SMALL_DEGREE = 17   # up to this, plain Python beats numpy dispatch overhead
 _BLOCK_TERMS = 2 ** 15  # (point, sample) terms per log_derivative_field block
 
 
@@ -96,7 +94,7 @@ class RationalFunction:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Roots returned by an iteration, plus the worst residual at them."""
+    """Roots returned by a root solver, plus the worst residual at them."""
 
     points: tuple[complex, ...]
     residual: float
@@ -117,168 +115,47 @@ def poly_derivative(p: Polynomial) -> Polynomial:
     return Polynomial(tuple(i * c[i] for i in range(1, len(c))))
 
 
-def poly_roots(p: Polynomial, root_tol: float = ROOT_TOL,
-               max_iterations: int = MAX_ITERATIONS) -> RootSet:
-    """All deg(p) roots with multiplicity, by simultaneous (Aberth) iteration.
+def poly_roots(p: Polynomial) -> RootSet:
+    """All deg(p) roots with multiplicity, as companion-matrix eigenvalues.
 
-    Raises NonConvergence if the corrections have not settled after
-    ``max_iterations`` rounds; the caller may retry with perturbed input.
+    Exact zeros at the origin are split off first; the residual is the
+    largest |p| at the returned roots.  Raises NonConvergence if the
+    eigenvalue solve fails: non-finite coefficients or companion entries,
+    or no QR convergence.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no root set")
-    coeffs = list(p.coefficients)
+    coeffs = p.coefficients
     at_origin = 0
     while at_origin < len(coeffs) - 1 and coeffs[at_origin] == 0:
         at_origin += 1
-    coeffs = coeffs[at_origin:]
-    deg = len(coeffs) - 1
-    if deg == 0:
+    if at_origin == len(coeffs) - 1:
         return RootSet((0j,) * at_origin, 0.0)
-    if deg <= _SMALL_DEGREE:
-        roots, residual = _aberth_small(coeffs, root_tol, max_iterations)
-    else:
-        roots, residual = _aberth(np.array([coeffs], dtype=np.complex128),
-                                  root_tol, max_iterations)
-        roots, residual = roots[0], float(residual[0])
-    return RootSet((0j,) * at_origin + tuple(roots), residual)
+    roots = _companion_roots(
+        np.array([coeffs[at_origin:]], dtype=np.complex128))[0].tolist()
+    return RootSet((0j,) * at_origin + tuple(roots),
+                   max((abs(poly_eval(p, z)) for z in roots), default=0.0))
 
 
-def _start_radius(coeffs, deg: int) -> float:
-    # Fujiwara root bound: tight even when the coefficient profile is steep,
-    # where the naive 1 + max|c_i/c_lead| circle can start the iteration
-    # orders of magnitude too far out to contract within budget.
-    lead = abs(coeffs[-1])
-    radius = 0.0
-    for j in range(1, deg + 1):
-        c = abs(coeffs[deg - j])
-        if c != 0:
-            radius = max(radius, (c / lead) ** (1.0 / j))
-    return 2.0 * radius if radius > 0 else 1.0
-
-
-def _initial_circle(radius: float, deg: int) -> list:
-    return [radius * complex(math.cos(_GOLDEN_ANGLE * j + 0.4),
-                             math.sin(_GOLDEN_ANGLE * j + 0.4))
-            for j in range(deg)]
-
-
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _aberth(coeffs: np.ndarray, root_tol: float = ROOT_TOL,
-            max_iterations: int = MAX_ITERATIONS):
-    """Aberth iteration on every row of a (B, deg + 1) stack of ascending
-    coefficient rows at once; returns the (B, deg) roots and each row's
-    largest |p| at them.
-
-    A row retires as soon as all its roots have settled, and no operation
-    mixes rows, so each row's roots are bitwise those of a one-row call.
-    Raises NonConvergence if any row is still active after max_iterations.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of every row of a (B, deg + 1) stack of ascending coefficient
+    rows with nonzero leading coefficients, as the (B, deg) eigenvalues of
+    the rows' companion matrices, from one LAPACK call over the stack
+    (Edelman & Murakami, Math. Comp. 64 (1995)).  Each matrix is solved on
+    its own, so a row's roots are bitwise those of a one-row call.
     """
+    if not np.isfinite(coeffs).all():
+        raise NonConvergence("non-finite polynomial coefficients")
     count, deg = coeffs.shape[0], coeffs.shape[1] - 1
-    roots = np.empty((count, deg), dtype=np.complex128)
-    residuals = np.empty(count)
-    active = np.arange(count)
-    # c[i]: coefficient i of every active row, as a column
-    c = np.ascontiguousarray(coeffs.T, dtype=np.complex128)[:, :, None]
-    abs_c = np.abs(c)
-    z = np.outer([_start_radius(row, deg) for row in coeffs.tolist()],
-                 _initial_circle(1.0, deg))
-    # root-root terms, rewritten in place every step
-    pair_buf = np.empty((count, deg, deg), dtype=np.complex128)
-    diagonal = np.arange(deg)
-    eps = np.finfo(float).eps
-    for _ in range(max_iterations):
-        pv = np.repeat(c[deg], deg, axis=1)
-        dv = np.zeros_like(z)
-        fv = np.repeat(abs_c[deg], deg, axis=1)
-        az = np.abs(z)
-        for i in range(deg - 1, -1, -1):
-            dv *= z
-            dv += pv
-            pv *= z
-            pv += c[i]
-            fv *= az
-            fv += abs_c[i]
-        settled = np.abs(pv) <= 8.0 * eps * fv
-        pair = pair_buf[:len(z)]
-        np.subtract(z[:, :, None], z[:, None, :], out=pair)
-        pair[:, diagonal, diagonal] = np.inf
-        np.reciprocal(pair, out=pair)
-        srep = pair.sum(axis=2)
-        newton = pv / dv
-        step = newton / (1.0 - newton * srep)
-        step = np.where(np.isfinite(step), step,
-                        np.where(np.isfinite(newton), newton, 0.1 + 0.1j))
-        step[settled] = 0.0
-        z = z - step
-        done = settled | (np.abs(step) <= root_tol * np.maximum(1.0, np.abs(z)))
-        finished = done.all(axis=1)
-        if finished.any():
-            zf, cf = z[finished], c[:, finished]
-            pv = np.repeat(cf[deg], deg, axis=1)
-            for i in range(deg - 1, -1, -1):
-                pv *= zf
-                pv += cf[i]
-            rows = active[finished]
-            roots[rows] = zf
-            residuals[rows] = np.abs(pv).max(axis=1)
-            keep = ~finished
-            if not keep.any():
-                return roots, residuals
-            active, z = active[keep], z[keep]
-            c, abs_c, fv = c[:, keep], abs_c[:, keep], fv[keep]
-    raise NonConvergence(
-        f"root corrections not settled after {max_iterations} iterations"
-        + ("" if np.isfinite(fv).all() else "; the iterates overflowed"))
-
-
-def _aberth_small(coeffs: list, root_tol: float, max_iterations: int):
-    # Scalar variant of _aberth; faster than numpy for tiny degrees.
-    deg = len(coeffs) - 1
-    z = _initial_circle(_start_radius(coeffs, deg), deg)
-    abs_coeffs = [abs(c) for c in coeffs]
-    eps = 2.220446049250313e-16
-    rev = list(range(deg - 1, -1, -1))
-    for _ in range(max_iterations):
-        all_done = True
-        pvals = []
-        for i in range(deg):
-            zi = z[i]
-            pv = coeffs[-1]
-            dv = 0j
-            fv = abs_coeffs[-1]
-            azi = abs(zi)
-            for j in rev:
-                dv = dv * zi + pv
-                pv = pv * zi + coeffs[j]
-                fv = fv * azi + abs_coeffs[j]
-            pvals.append(pv)
-            if abs(pv) <= 8.0 * eps * fv:
-                continue
-            srep = 0j
-            for j2 in range(deg):
-                if j2 != i:
-                    d = zi - z[j2]
-                    if d != 0:
-                        srep += 1.0 / d
-            if dv == 0:
-                step = 0.1 + 0.1j
-            else:
-                newton = pv / dv
-                denom = 1.0 - newton * srep
-                step = newton if denom == 0 else newton / denom
-            z[i] = zi - step
-            if abs(step) > root_tol * max(1.0, abs(z[i])):
-                all_done = False
-        if all_done:
-            residual = 0.0
-            for zi in z:
-                pv = coeffs[-1]
-                for j in rev:
-                    pv = pv * zi + coeffs[j]
-                residual = max(residual, abs(pv))
-            return z, residual
-    raise NonConvergence(
-        f"root corrections not settled after {max_iterations} iterations")
+    companion = np.zeros((count, deg, deg), dtype=np.complex128)
+    # first row -c[deg-1..0] / c[deg], ones on the subdiagonal
+    np.divide(coeffs[:, -2::-1], -coeffs[:, -1:], out=companion[:, 0, :])
+    companion.reshape(count, -1)[:, deg::deg + 1] = 1.0
+    try:
+        return np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"companion eigenvalues failed: {exc}") from None
 
 
 def _cluster(points, tol: float):

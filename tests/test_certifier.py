@@ -12,6 +12,7 @@ from aglucas import (AGLError, ContourNotFound, Disk, ExclusionBall,
                      from_points, log_derivative, offset_contour,
                      perturb_to_simple, random_instance, rational_product,
                      rouche_margin, split_instance, winding_count)
+from aglucas import certifier
 from conftest import match_multisets
 
 UNIT_DISK = Disk(0, 1)
@@ -163,6 +164,17 @@ class TestFindContour:
         excl = ExclusionSet((ExclusionBall(1.6, eps / 16),))
         c = find_contour(UNIT_DISK, eps, excl, 256)
         assert c.offset_distance == pytest.approx(0.48)
+
+    def test_fixed_order_is_midline_first(self, rng):
+        # the order once found by sorting on (distance to the midline 3*eps/4
+        # relative to eps, rounded to 9 digits; then the offset itself)
+        for eps in np.concatenate([np.logspace(-12, 6, 2000),
+                                   10.0 ** rng.uniform(-12, 6, 2000)]):
+            clearance = eps / 20.0
+            d = np.linspace(eps / 2.0 + clearance, eps - clearance, 9)
+            by_key = sorted(range(9), key=lambda i: (
+                round(abs(d[i] - 0.75 * eps) / eps, 9), d[i]))
+            assert tuple(by_key) == certifier._MIDLINE_FIRST
 
     def test_saturated_annulus_raises(self):
         eps = 0.4
