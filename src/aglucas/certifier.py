@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import (ContourBoundaryConflict, ContourNotFound, HypothesisUnmet,
                      MarginNonPositive, NonIntegerWinding, SampleAtSingularity)
-from .rational import CLUSTER_TOL, RationalFunction, log_derivative_field
+from .rational import CLUSTER_TOL, RationalFunction, _crowded, \
+    log_derivative_field
 # distance is unused here but stays a module global: perfbench wraps it by name
 from .regions import (CONTOUR_TOL, MEMBERSHIP_TOL, ConvexRegion,  # noqa: F401
                       OffsetContour, distance, distances, offset_contour)
@@ -105,13 +106,6 @@ def perturb_to_simple(f: RationalFunction, delta: float = 1e-7, seed: int = 0,
             return RationalFunction(tuple(moved[:nz].tolist()),
                                     tuple(moved[nz:].tolist()), f.scale)
     raise RuntimeError("could not separate coincident points; raise delta")
-
-
-def _crowded(pts: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the points lying within tol of another point."""
-    gap = np.abs(pts[:, None] - pts)
-    np.fill_diagonal(gap, np.inf)
-    return (gap <= tol).any(axis=1)
 
 
 def exclusion_set(remainder: RationalFunction, eps: float,

@@ -29,18 +29,19 @@ def _read_json(path: str):
         return json.load(fh)
 
 
+def _parse_region_arg(text: str):
+    data = json.loads(text) if text.lstrip().startswith("{") else _read_json(text)
+    return serialize.region_from_json(data)
+
+
 def _load_instance(args):
     data = _read_json(args.instance)
     f = serialize.function_from_json(data)
-    region_data = None
-    if getattr(args, "region", None):
-        region_data = json.loads(args.region) if args.region.lstrip().startswith("{") \
-            else _read_json(args.region)
-    elif isinstance(data, dict) and "region" in data:
-        region_data = data["region"]
-    if region_data is None:
-        raise ValueError("no region: pass --region or embed one in the instance")
-    return f, serialize.region_from_json(region_data)
+    if args.region:
+        return f, _parse_region_arg(args.region)
+    if isinstance(data, dict) and "region" in data:
+        return f, serialize.region_from_json(data["region"])
+    raise ValueError("no region: pass --region or embed one in the instance")
 
 
 def _emit(args, text: str) -> None:
@@ -63,10 +64,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "searches and plots for rational functions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default):
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, fmt_default=None, seed=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
+        if fmt_default:
+            p.add_argument("--format", choices=("json", "csv"),
+                           default=fmt_default)
 
     p = sub.add_parser("check", help="count critical points near a region")
     p.add_argument("--instance", required=True, help="instance JSON file or -")
@@ -75,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--root-tol", type=float, default=None)
     p.add_argument("--membership-tol", type=float, default=MEMBERSHIP_TOL)
-    common(p, "json")
+    common(p, "json", seed=False)
 
     p = sub.add_parser("bounds", help="closed-form bound table")
     p.add_argument("--n", type=int, default=None)
@@ -83,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated list, overrides --n")
     p.add_argument("--gap", type=int, required=True)
     p.add_argument("--s", type=float, required=True, help="region diameter")
-    common(p, "csv")
+    common(p, "csv", seed=False)
 
     p = sub.add_parser("certify", help="contour certificate for an instance")
     p.add_argument("--instance", required=True)
@@ -92,15 +96,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--min-samples", type=int, default=512)
     p.add_argument("--membership-tol", type=float, default=MEMBERSHIP_TOL)
-    common(p, "json")
+    common(p)
 
     p = sub.add_parser("search", help="maximize the required eps by search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--disk", action="store_true",
-                   help="search on a disk (the default region)")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--region", default=None, help="region JSON (inline or file)")
+    p.add_argument("--radius", type=float, default=1.0,
+                   help="radius of the centred disk searched by default")
+    p.add_argument("--region", default=None,
+                   help="region JSON (inline or file) instead of the disk")
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--iters", type=int, default=500)
     common(p, "json")
@@ -127,14 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None,
                    help="with --with-contour, the k to certify")
     p.add_argument("--with-contour", action="store_true")
-    common(p, "json")
+    common(p)
 
     return parser
-
-
-def _parse_region_arg(text: str):
-    data = json.loads(text) if text.lstrip().startswith("{") else _read_json(text)
-    return serialize.region_from_json(data)
 
 
 def _int_list(text: str) -> list[int]:

@@ -74,16 +74,14 @@ def required_epsilon(f: RationalFunction, region: ConvexRegion, k: int) -> float
 
 def _decode(x: np.ndarray, k: int, region: ConvexRegion,
             box_center: complex, half_width: float) -> list[complex]:
-    zs = [complex(x[2 * i], x[2 * i + 1]) for i in range(len(x) // 2)]
-    for i in range(k):
-        zs[i] = distance(zs[i], region)[1]
-    for i in range(k, len(zs)):
-        re = min(max(zs[i].real, box_center.real - half_width),
-                 box_center.real + half_width)
-        im = min(max(zs[i].imag, box_center.imag - half_width),
-                 box_center.imag + half_width)
-        zs[i] = complex(re, im)
-    return zs
+    """Zeros from search coordinates: the first k moved to their closest
+    region points, the rest clamped into the square box."""
+    zs = np.ascontiguousarray(x, dtype=np.float64).view(np.complex128)
+    lo = box_center - complex(half_width, half_width)
+    hi = box_center + complex(half_width, half_width)
+    return distance(zs[:k], region)[1].tolist() + [
+        complex(min(max(z.real, lo.real), hi.real),
+                min(max(z.imag, lo.imag), hi.imag)) for z in zs[k:].tolist()]
 
 
 def _fast_required(zeros: list[complex], region: ConvexRegion, k: int) -> float:
@@ -273,8 +271,9 @@ def search_psi(n: int, k: int, region: ConvexRegion, restarts: int = 50,
             return 0.0  # unresolvable configuration scores no better than flat
 
     def encode(points) -> np.ndarray:
-        pts = sorted(points, key=lambda z: distance(z, region)[0])
-        return np.array([c for z in pts for c in (z.real, z.imag)])
+        pts = np.asarray(points, dtype=np.complex128)
+        return pts[np.argsort(distances(pts, region), kind="stable")].view(
+            np.float64)
 
     def ring_start() -> np.ndarray:
         # ring of n zeros with the two nearest vertices pinned to the circle
@@ -331,6 +330,16 @@ def search_psi(n: int, k: int, region: ConvexRegion, restarts: int = 50,
 
     best_value = -math.inf
     best_x: np.ndarray | None = None
+
+    def descend(x0: np.ndarray, options: dict) -> None:
+        # one Nelder-Mead run; a better end point becomes the incumbent
+        nonlocal best_value, best_x
+        res = minimize(objective, x0, method="Nelder-Mead", options=options)
+        if -res.fun > best_value:
+            best_value = -res.fun
+            best_x = res.x
+            trace.append((evaluations, best_value))
+
     base = {"maxiter": iters, "xatol": 1e-12, "fatol": 1e-14,
             "adaptive": n > 5}
     arcs_left = 4 if isinstance(region, Disk) else 0
@@ -349,20 +358,11 @@ def search_psi(n: int, k: int, region: ConvexRegion, restarts: int = 50,
             else:
                 x0 = cloud_start()
                 options["maxfev"] = 2 * iters
-        res = minimize(objective, x0, method="Nelder-Mead", options=options)
-        if -res.fun > best_value:
-            best_value = -res.fun
-            best_x = res.x
-            trace.append((evaluations, best_value))
+        descend(x0, options)
     # polish the incumbent with shrinking deformation-mode simplexes
     for step in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
-        options = dict(base)
-        options["initial_simplex"] = _mode_simplex(best_x, step * scale)
-        res = minimize(objective, best_x, method="Nelder-Mead", options=options)
-        if -res.fun > best_value:
-            best_value = -res.fun
-            best_x = res.x
-            trace.append((evaluations, best_value))
+        descend(best_x, dict(base, initial_simplex=_mode_simplex(
+            best_x, step * scale)))
 
     zeros = _decode(best_x, k, region, anchor, _SEARCH_BOX_HALF_WIDTH)
     config = RationalFunction(tuple(zeros), (), 1.0)

@@ -158,6 +158,13 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
         raise NonConvergence(f"companion eigenvalues failed: {exc}") from None
 
 
+def _crowded(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the points lying within tol of another point."""
+    gap = np.abs(pts[:, None] - pts)
+    np.fill_diagonal(gap, np.inf)
+    return (gap <= tol).any(axis=1)
+
+
 def _cluster(points, tol: float):
     """Group nearly coincident points; returns (centers, multiplicities)."""
     centers: list[complex] = []
@@ -315,10 +322,9 @@ def log_derivative(f: RationalFunction, root_tol: float = ROOT_TOL,
     pts = f.zeros + f.poles
     if not pts:
         raise ValueError("a constant has identically zero logarithmic derivative")
-    _, counts = _cluster(pts, cluster_tol)
-    if any(m > 1 for m in counts):
-        raise MultiplicityViolation("zeros and poles must all be simple")
     centers = np.asarray(pts, dtype=np.complex128)
+    if _crowded(centers, cluster_tol).any():
+        raise MultiplicityViolation("zeros and poles must all be simple")
     weights = np.array([1.0] * len(f.zeros) + [-1.0] * len(f.poles),
                        dtype=np.complex128)
     roots, lead, _ = _partial_fraction_roots(centers, weights, root_tol)

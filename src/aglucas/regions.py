@@ -2,13 +2,17 @@
 
 Three shapes are supported: disks, segments, and strictly convex polygons
 with counterclockwise vertices.  Degenerate point sets (a zero-radius disk or
-a segment with equal endpoints) are allowed everywhere.  Neighborhoods are
+a segment with equal endpoints) are allowed everywhere.  Internally every
+region is the convex hull of one or more vertices thickened by a radius, so
+one projection onto that hull serves distances, closest points, diameters,
+centroids and offset curves alike.  Neighborhoods are
 treated as closed: membership tests use distance <= eps + membership_tol so
 boundary points count reproducibly under floating point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -84,26 +88,61 @@ def _cross(u: complex, w: complex) -> float:
     return u.real * w.imag - u.imag * w.real
 
 
+def _hull(region: ConvexRegion) -> tuple[tuple[complex, ...], float]:
+    """The region as (vertices, radius): the points within radius of the
+    convex hull of the vertices.  A disk is its centre thickened by its
+    radius, a segment its two ends, a polygon its ccw vertices.  A segment
+    whose squared length is 0 in floating point is its one end, since
+    projecting onto it divides by that square."""
+    if isinstance(region, Disk):
+        return (region.center,), region.radius
+    if isinstance(region, Segment):
+        if abs(region.b - region.a) ** 2 == 0:
+            return (region.a,), 0.0
+        return (region.a, region.b), 0.0
+    return region.vertices, 0.0
+
+
+def _project(z: np.ndarray, vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each point of the 1-d array z to the convex hull of the
+    vertices (one point, a segment's two ends or a ccw polygon), and the
+    closest hull point; a point inside a polygon is its own closest point."""
+    if len(vertices) == 1:
+        return np.abs(z - vertices[0]), np.full_like(z, vertices[0])
+    polygon = len(vertices) > 2
+    inside = np.full(z.shape, polygon)
+    best = np.full(z.shape, np.inf)
+    closest = np.empty_like(z)
+    for i in range(len(vertices) if polygon else 1):
+        u = vertices[i]
+        e = vertices[(i + 1) % len(vertices)] - u
+        rel = z - u
+        if polygon:
+            inside &= (e.real * rel.imag - e.imag * rel.real) >= 0
+        t = np.minimum(np.maximum(
+            (rel.real * e.real + rel.imag * e.imag) / abs(e) ** 2, 0.0), 1.0)
+        foot = u + t * e
+        dist = np.abs(z - foot)
+        np.copyto(closest, foot, where=dist < best)
+        np.minimum(best, dist, out=best)
+    if polygon:
+        best[inside] = 0.0
+        np.copyto(closest, z, where=inside)
+    return best, closest
+
+
 def diameter(region: ConvexRegion) -> float:
     """Supremum of pairwise distances within the region."""
-    if isinstance(region, Disk):
-        return 2.0 * region.radius
-    if isinstance(region, Segment):
-        return abs(region.b - region.a)
-    verts = region.vertices
-    best = 0.0
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            best = max(best, abs(verts[i] - verts[j]))
-    return best
+    verts, radius = _hull(region)
+    gap = max((abs(u - w) for u, w in itertools.combinations(verts, 2)),
+              default=0.0)
+    return gap + 2.0 * radius
 
 
 def centroid(region: ConvexRegion) -> complex:
-    if isinstance(region, Disk):
-        return region.center
-    if isinstance(region, Segment):
-        return 0.5 * (region.a + region.b)
-    verts = region.vertices
+    verts, _ = _hull(region)
+    if len(verts) < 3:
+        return 0.5 * (verts[0] + verts[-1])
     area2 = 0.0
     acc = 0j
     for i in range(len(verts)):
@@ -114,16 +153,6 @@ def centroid(region: ConvexRegion) -> complex:
     return acc / (3.0 * area2)
 
 
-def _segment_closest(z: complex, a: complex, b: complex) -> complex:
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0:
-        return a
-    t = ((z - a).real * ab.real + (z - a).imag * ab.imag) / denom
-    t = min(1.0, max(0.0, t))
-    return a + t * ab
-
-
 def _polygon_contains(z: complex, verts) -> bool:
     n = len(verts)
     for i in range(n):
@@ -132,68 +161,34 @@ def _polygon_contains(z: complex, verts) -> bool:
     return True
 
 
-def distance(z: complex, region: ConvexRegion) -> tuple[float, complex]:
-    """Distance from z to the region and the (unique) closest point.
+def distance(z, region: ConvexRegion):
+    """Distance from z, a point or an array of points, to the region, and
+    the closest point of the region: (0, z) where z lies in the region.
 
-    Returns (0, z) when z lies in the region.
+    A point gives (float, complex), an array two arrays of its shape.  The
+    distance is exactly what ``distances`` returns.
     """
-    z = complex(z)
-    if isinstance(region, Disk):
-        off = z - region.center
-        r = abs(off)
-        if r <= region.radius:
-            return 0.0, z
-        if r == 0:
-            return region.radius, region.center
-        w = region.center + region.radius * off / r
-        return r - region.radius, w
-    if isinstance(region, Segment):
-        w = _segment_closest(z, region.a, region.b)
-        d = abs(z - w)
-        return (0.0, z) if d == 0 else (d, w)
-    verts = region.vertices
-    if _polygon_contains(z, verts):
-        return 0.0, z
-    best_d = math.inf
-    best_w = verts[0]
-    n = len(verts)
-    for i in range(n):
-        w = _segment_closest(z, verts[i], verts[(i + 1) % n])
-        d = abs(z - w)
-        if d < best_d:
-            best_d, best_w = d, w
-    return best_d, best_w
+    arr = np.asarray(z, dtype=np.complex128)
+    flat = arr.ravel()
+    verts, radius = _hull(region)
+    d, w = _project(flat, verts)
+    dist = np.maximum(d - radius, 0.0)
+    if radius:
+        # step from z toward the hull point by dist, so z stays put where
+        # dist = 0; d <= radius there, and max(d, radius) never divides by 0
+        w = flat - dist / np.maximum(d, radius) * (flat - w)
+    if arr.ndim == 0:
+        return float(dist[0]), complex(w[0])
+    return dist.reshape(arr.shape), w.reshape(arr.shape)
 
 
 def distances(zs, region: ConvexRegion) -> np.ndarray:
-    """Vectorized distance from each point of zs to the region."""
+    """Distance from each point of zs (an array of any shape) to the
+    region."""
     arr = np.asarray(zs, dtype=np.complex128)
-    if isinstance(region, Disk):
-        return np.maximum(np.abs(arr - region.center) - region.radius, 0.0)
-    if isinstance(region, Segment):
-        a, b = region.a, region.b
-        ab = b - a
-        denom = abs(ab) ** 2
-        if denom == 0:
-            return np.abs(arr - a)
-        t = ((arr - a).real * ab.real + (arr - a).imag * ab.imag) / denom
-        t = np.clip(t, 0.0, 1.0)
-        return np.abs(arr - (a + t * ab))
-    verts = region.vertices
-    n = len(verts)
-    flat = arr.ravel()
-    inside = np.ones(flat.shape, dtype=bool)
-    best = np.full(flat.shape, np.inf)
-    for i in range(n):
-        u, w = verts[i], verts[(i + 1) % n]
-        e = w - u
-        rel = flat - u
-        inside &= (e.real * rel.imag - e.imag * rel.real) >= 0
-        denom = abs(e) ** 2
-        t = np.clip((rel.real * e.real + rel.imag * e.imag) / denom, 0.0, 1.0)
-        best = np.minimum(best, np.abs(flat - (u + t * e)))
-    best[inside] = 0.0
-    return best.reshape(arr.shape)
+    verts, radius = _hull(region)
+    d, _ = _project(arr.ravel(), verts)
+    return np.maximum(d - radius, 0.0).reshape(arr.shape)
 
 
 def in_neighborhood(z: complex, region: ConvexRegion, eps: float,
@@ -201,28 +196,16 @@ def in_neighborhood(z: complex, region: ConvexRegion, eps: float,
     """Closed eps-neighborhood membership; eps = 0 tests the region itself."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    return distance(z, region)[0] <= eps + membership_tol
+    return bool(distances(z, region) <= eps + membership_tol)
 
 
 def _offset_pieces(region: ConvexRegion, d: float):
     """Decompose the offset curve into ccw arcs and straight edges."""
-    if isinstance(region, Disk):
-        return [("arc", region.center, region.radius + d, 0.0, _TWO_PI)]
-    if isinstance(region, Segment):
-        a, b = region.a, region.b
-        if a == b:
-            return [("arc", a, d, 0.0, _TWO_PI)]
-        t = (b - a) / abs(b - a)
-        nrm = -1j * t
-        th = math.atan2(nrm.imag, nrm.real)
-        return [
-            ("edge", a + nrm * d, b + nrm * d),
-            ("arc", b, d, th, math.pi),
-            ("edge", b - nrm * d, a - nrm * d),
-            ("arc", a, d, th + math.pi, math.pi),
-        ]
-    verts = region.vertices
+    verts, radius = _hull(region)
+    d = radius + d
     n = len(verts)
+    if n == 1:
+        return [("arc", verts[0], d, 0.0, _TWO_PI)]
     pieces = []
     normals = []
     for i in range(n):

@@ -173,6 +173,21 @@ class TestEntryPoints:
         assert run(["bounds", "--n", "10", "--gap", "1", "--s", "1",
                     "--membership-tol", "0.1"]) == 2
 
+    @pytest.mark.parametrize("command, flag", [
+        ("check", ["--seed", "1"]), ("bounds", ["--seed", "1"]),
+        ("certify", ["--format", "csv"]), ("plot", ["--format", "json"]),
+        ("search", ["--disk"])])
+    def test_unread_options_rejected(self, instance_file, command, flag):
+        path = instance_file(dict(CUBIC, region=SEGMENT))
+        args = {"check": ["--instance", path, "--k", "2", "--eps", "0.5"],
+                "bounds": ["--n", "10", "--gap", "1", "--s", "1"],
+                "certify": ["--instance", path, "--k", "2", "--eps", "0.5"],
+                "plot": ["--instance", path],
+                "search": ["--n", "3", "--k", "2", "--restarts", "1",
+                           "--iters", "5"]}[command]
+        assert run([command, *args]) in (0, 1)
+        assert run([command, *args, *flag]) == 2
+
     def test_python_dash_m_matches_run(self, instance_file, capsys):
         path = instance_file(dict(CUBIC, region=SEGMENT))
         args = ["check", "--instance", path, "--k", "2", "--eps", "0.5"]
@@ -191,14 +206,14 @@ class TestEntryPoints:
 
 class TestSearchCommand:
     def test_small_search_json(self, capsys):
-        code = run(["search", "--n", "3", "--k", "2", "--disk",
+        code = run(["search", "--n", "3", "--k", "2",
                     "--restarts", "6", "--iters", "150", "--seed", "3"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["best_required_epsilon"] == pytest.approx(0.1547, abs=2e-3)
 
     def test_trace_csv(self, capsys):
-        code = run(["search", "--n", "3", "--k", "2", "--disk",
+        code = run(["search", "--n", "3", "--k", "2",
                     "--restarts", "4", "--iters", "100", "--seed", "1",
                     "--format", "csv"])
         out = capsys.readouterr().out

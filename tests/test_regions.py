@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aglucas import (MEMBERSHIP_TOL, ConvexPolygon, Disk, Segment, centroid,
-                     convex_hull_region, diameter, distance, distances,
-                     in_neighborhood, offset_contour, sample_point,
+                     convex_hull_region, count_in, diameter, distance,
+                     distances, in_neighborhood, offset_contour, sample_point,
                      scale_region)
 from aglucas.regions import _offset_pieces
 
@@ -38,6 +38,49 @@ class TestDiameter:
         assert diameter(Segment(1, 1)) == 0
 
 
+REFERENCE_SHAPES = {
+    "disk": Disk(0.3 - 0.2j, 1),
+    "point_disk": Disk(1 + 1j, 0),
+    "segment": Segment(-1 + 0.5j, 2 - 1j),
+    "point_segment": Segment(0.7j, 0.7j),
+    "underflowing_segment": Segment(0.5, 0.5 + 1e-170j),
+    "square": ConvexPolygon((0, 2, 2 + 2j, 2j)),
+    "triangle": ConvexPolygon((0, 2, 3 + 1j)),
+}
+
+
+def _reference_distances(zs, region):
+    """distances as written per shape before every region became a
+    thickened hull; kept as the bitwise reference."""
+    arr = np.asarray(zs, dtype=np.complex128)
+    if isinstance(region, Disk):
+        return np.maximum(np.abs(arr - region.center) - region.radius, 0.0)
+    if isinstance(region, Segment):
+        a, b = region.a, region.b
+        ab = b - a
+        denom = abs(ab) ** 2
+        if denom == 0:
+            return np.abs(arr - a)
+        t = ((arr - a).real * ab.real + (arr - a).imag * ab.imag) / denom
+        t = np.clip(t, 0.0, 1.0)
+        return np.abs(arr - (a + t * ab))
+    verts = region.vertices
+    n = len(verts)
+    flat = arr.ravel()
+    inside = np.ones(flat.shape, dtype=bool)
+    best = np.full(flat.shape, np.inf)
+    for i in range(n):
+        u, w = verts[i], verts[(i + 1) % n]
+        e = w - u
+        rel = flat - u
+        inside &= (e.real * rel.imag - e.imag * rel.real) >= 0
+        denom = abs(e) ** 2
+        t = np.clip((rel.real * e.real + rel.imag * e.imag) / denom, 0.0, 1.0)
+        best = np.minimum(best, np.abs(flat - (u + t * e)))
+    best[inside] = 0.0
+    return best.reshape(arr.shape)
+
+
 class TestDistance:
     def test_outside_disk(self):
         d, w = distance(2, UNIT_DISK)
@@ -63,10 +106,43 @@ class TestDistance:
 
     def test_vectorized_matches_scalar(self, rng):
         pts = rng.uniform(-3, 3, 64) + 1j * rng.uniform(-3, 3, 64)
-        for region in (UNIT_DISK, UNIT_SEGMENT, UNIT_SQUARE):
-            vec = distances(pts, region)
-            for z, dv in zip(pts, vec):
-                assert dv == pytest.approx(distance(z, region)[0], abs=1e-12)
+        for region in REFERENCE_SHAPES.values():
+            d, w = distance(pts, region)
+            assert d.shape == w.shape == pts.shape
+            assert np.array_equal(d, distances(pts, region))
+            for z, dz, wz in zip(pts, d, w):
+                assert distance(z, region) == (dz, wz)
+
+    def test_array_keeps_shape(self):
+        d, w = distance(np.array([[2, 0.5], [3j, -1]]), UNIT_DISK)
+        assert d.shape == w.shape == (2, 2)
+        assert np.array_equal(d, [[1, 0], [2, 0]])
+        assert np.array_equal(w, [[1, 0.5], [1j, -1]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(finite_complex, regions, st.floats(0, 5, allow_nan=False))
+    def test_scalar_and_vector_agree_exactly(self, z, region, eps):
+        assert distance(z, region)[0] == float(distances([z], region)[0])
+        assert in_neighborhood(z, region, eps) == (
+            count_in([z], region, eps) == 1)
+
+    @pytest.mark.parametrize("z, eps", [
+        (3.0613786820777737 + 0.04444555297819877j, 1.772177095472085),
+        (-0.6789739381656688 - 2.0524296312268095j, 1.0952053613105042)])
+    def test_recorded_membership_disagreements(self, z, eps):
+        # |z - c| rounded differently in the scalar and the vector path
+        disk = Disk(0.3 - 0.2j, 1)
+        assert in_neighborhood(z, disk, eps) == (count_in([z], disk, eps) == 1)
+        assert distance(z, disk)[0] == distances([z], disk)[0]
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SHAPES))
+    def test_distances_match_reference_bitwise(self, name, rng):
+        region = REFERENCE_SHAPES[name]
+        pts = rng.uniform(-4, 4, 4000) + 1j * rng.uniform(-4, 4, 4000)
+        pts[:8] = [0.3 - 0.2j, 1 + 1j, 0.7j, -1 + 0.5j, 2 - 1j, 0, 2 + 2j, 1]
+        got = distances(pts, region)
+        want = _reference_distances(pts, region)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class TestNeighborhood:
