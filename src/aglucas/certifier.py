@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (ContourBoundaryConflict, ContourNotFound, HypothesisUnmet,
                      MarginNonPositive, NonIntegerWinding, SampleAtSingularity)
-from .rational import CLUSTER_TOL, RationalFunction, _crowded, \
+from .rational import CLUSTER_TOL, RationalFunction, _crowded, _reduced, \
     log_derivative_field
 # distance is unused here but stays a module global: perfbench wraps it by name
 from .regions import (CONTOUR_TOL, MEMBERSHIP_TOL, ConvexRegion,  # noqa: F401
@@ -203,10 +203,11 @@ def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
     """Certify that f has at least k - 1 critical points in the closed
     eps-neighborhood of the region, without locating any critical point.
 
-    Pipeline: split off the zeros inside the region, perturb coincident
-    points to simple position, build the exclusion balls, pick a clearing
-    constant-offset contour, check the dominance margin, then count critical
-    points inside the contour by the argument principle:
+    Pipeline: read f in lowest form (a zero within CLUSTER_TOL of a pole
+    cancels against it), split off the zeros inside the region, perturb
+    coincident points to simple position, build the exclusion balls, pick a
+    clearing constant-offset contour, check the dominance margin, then count
+    critical points inside the contour by the argument principle:
 
         winding of (gh)'/(gh)  =  #critical - (#zeros + #poles)   inside,
 
@@ -220,6 +221,8 @@ def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
         raise ValueError("k must be positive")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if f.poles:
+        f = _reduced(f.zeros, f.poles, f.scale, CLUSTER_TOL)
     inside, remainder = split_instance(f, region, membership_tol)
     if len(inside.zeros) < k:
         raise HypothesisUnmet(

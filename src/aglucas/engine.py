@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisUnmet
-from .rational import RationalFunction, critical_points
+from .rational import CLUSTER_TOL, RationalFunction, _reduced, \
+    critical_points
 from .regions import (MEMBERSHIP_TOL, ConvexRegion, centroid, distances,
                       sample_point)
 
@@ -51,12 +52,16 @@ def agl_report(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
                root_tol: float | None = None) -> AGLReport:
     """Count critical points of f near the region and decide the property.
 
-    Requires at least k zeros of f in the region.  required_epsilon is the
-    (k-1)-th smallest critical-point distance (0 when k <= 1, inf when f has
-    fewer than k - 1 critical points), so holds flips exactly there.
+    f is read in lowest form: a zero within CLUSTER_TOL of a pole cancels
+    against it.  Requires at least k zeros of f in the region.
+    required_epsilon is the (k-1)-th smallest critical-point distance (0 when
+    k <= 1, inf when f has fewer than k - 1 critical points), so holds flips
+    exactly there.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if f.poles:
+        f = _reduced(f.zeros, f.poles, f.scale, CLUSTER_TOL)
     zeros_in = count_in(f.zeros, region, 0.0, membership_tol)
     if zeros_in < k:
         raise HypothesisUnmet(

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .errors import HypothesisUnmet, InsufficientCriticalPoints, \
-    NonConvergence
-from .engine import count_in, random_instance
+from .errors import InsufficientCriticalPoints, NonConvergence
+from .engine import agl_report, count_in, random_instance
 from .rational import _REFINE_DTYPE, Polynomial, RationalFunction, \
     _companion_roots, critical_points, poly_roots
 from .regions import ConvexRegion, Disk, centroid, diameter, distance, \
@@ -58,18 +57,15 @@ class ProbeRow:
 
 def required_epsilon(f: RationalFunction, region: ConvexRegion, k: int) -> float:
     """The least eps with at least k - 1 critical points in the closed
-    eps-neighborhood: the (k-1)-th smallest critical-point distance."""
+    eps-neighborhood: agl_report's (k-1)-th smallest critical-point
+    distance, raising InsufficientCriticalPoints where that is inf."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    if count_in(f.zeros, region, 0.0) < k:
-        raise HypothesisUnmet(f"need at least {k} zeros in the region")
-    crit = critical_points(f)
-    if len(crit.points) < k - 1:
+    report = agl_report(f, region, 0.0, k)
+    if math.isinf(report.required_epsilon):
         raise InsufficientCriticalPoints(
-            f"{len(crit.points)} critical points, need {k - 1}")
-    dist = np.sort(distances(np.asarray(crit.points, dtype=np.complex128),
-                             region))
-    return float(dist[k - 2])
+            f"{len(report.critical_points)} critical points, need {k - 1}")
+    return report.required_epsilon
 
 
 def _decode(x: np.ndarray, k: int, region: ConvexRegion,
@@ -101,8 +97,6 @@ def _mode_simplex(x0: np.ndarray, step: float) -> np.ndarray:
     rows = [x0]
     for m in range(1, count + 1):
         for phase in (0.0, math.pi / 2):
-            if len(rows) == len(x0) + 1:
-                break
             v = np.zeros_like(x0)
             for j in range(count):
                 w = step * complex(math.cos(2 * math.pi * m * j / count + phase),
@@ -110,11 +104,7 @@ def _mode_simplex(x0: np.ndarray, step: float) -> np.ndarray:
                 v[2 * j] += w.real
                 v[2 * j + 1] += w.imag
             rows.append(x0 + v)
-    while len(rows) < len(x0) + 1:
-        v = np.zeros_like(x0)
-        v[len(rows) - 1] += step
-        rows.append(x0 + v)
-    return np.array(rows[: len(x0) + 1])
+    return np.array(rows)
 
 
 class _ArcFamily:
@@ -134,45 +124,29 @@ class _ArcFamily:
         self.spread = rng.uniform(0.004, 0.02)
         self.scale = max(region.radius, 1e-3)
 
-    def coefficients(self, t, spread, dtype=complex) -> list:
-        """Coefficients of degree 1..n, ascending, of the polynomial whose
-        critical points are the n - 1 arc points
-        t * exp(i * (j - (n - 2) / 2) * spread); the constant term is the
-        caller's integration constant.  ``dtype`` is ``complex`` for Python
-        arithmetic or a numpy complex type for numpy scalars of that type."""
+    def coefficients(self, t, spread, dtype=np.float64) -> np.ndarray:
+        """Real coefficients of degree 1..n, ascending, of the polynomial
+        whose critical points are the n - 1 arc points
+        t * exp(i * (j - (n - 2) / 2) * spread), computed in the real type
+        ``dtype``; the constant term is the caller's integration constant.
+        The arc is symmetric about the real axis, so np.poly returns its
+        product's coefficients as reals."""
         n = self.n
-        if dtype is complex:
-            one = 1.0 + 0j
+        angles = ((np.arange(n - 1) - (n - 2) / 2.0) * spread).astype(dtype)
+        monic = np.poly(t * (np.cos(angles) + 1j * np.sin(angles)))
+        return n * monic[::-1] / np.arange(1, n + 1)
 
-            def cis(a):
-                return complex(math.cos(a), math.sin(a))
-        else:
-            one, t = dtype(1), dtype(t)
-
-            def cis(a):
-                return np.cos(np.longdouble(a)) + 1j * np.sin(np.longdouble(a))
-        coeffs = [one]
-        for j in range(n - 1):
-            w = t * cis((j - (n - 2) / 2.0) * spread)
-            nxt = [0 * one] * (len(coeffs) + 1)
-            for idx, c in enumerate(coeffs):
-                nxt[idx] -= w * c
-                nxt[idx + 1] += c
-            coeffs = nxt
-        return [n * c / j for j, c in enumerate(coeffs, 1)]
-
-    def zeros_at(self, t, const, spread, polish=False):
-        pcoef = [const] + self.coefficients(t, spread)
-        roots = np.asarray(poly_roots(Polynomial(tuple(pcoef))).points)
-        if polish:
-            roots = self._polish(t, const, spread, roots)
+    def zeros_at(self, t, const, spread):
+        coeffs = self.coefficients(t, spread)
+        roots = np.asarray(poly_roots(Polynomial((const, *coeffs))).points)
+        roots = self._polish(t, const, spread, roots)
         return [self.region.center + self.direction * z for z in roots]
 
     def _polish(self, t, const, spread, roots):
         # Newton in extended precision; double-rounded zeros get amplified
         # through the near-degenerate critical cluster otherwise.
-        pc = np.array([const] + self.coefficients(t, spread, _REFINE_DTYPE),
-                      _REFINE_DTYPE)
+        real = np.finfo(_REFINE_DTYPE).dtype
+        pc = np.concatenate(([const], self.coefficients(t, spread, real)))
         n = self.n
         z = roots.astype(_REFINE_DTYPE)
         for _ in range(4):
@@ -191,21 +165,23 @@ class _ArcFamily:
         dist = distances(zs.ravel(), self.region).reshape(zs.shape)
         return np.sort(dist, axis=-1)[..., self.k - 1]
 
-    def _kth_dist(self, t, consts, spread):
-        """The k-th smallest zero distance for each integration constant,
-        from one batched root solve."""
-        rows = np.tile([0j] + self.coefficients(t, spread), (len(consts), 1))
+    def _kth_dist(self, coeffs, consts):
+        """The k-th smallest zero distance for each integration constant
+        beneath the degree 1..n coefficients ``coeffs``, from one stacked
+        real solve."""
+        rows = np.empty((len(consts), len(coeffs) + 1))
         rows[:, 0] = consts
+        rows[:, 1:] = coeffs
         roots = _companion_roots(rows)
         return self._kth_smallest(self.region.center + self.direction * roots)
 
     def _best_const(self, t, spread):
+        coeffs = self.coefficients(t, spread)
         span = 3.0 * (t + self.scale) ** self.n
         grid = np.linspace(-span, span, 180)
-        i = int(np.argmin(self._kth_dist(t, grid, spread)))
+        i = int(np.argmin(self._kth_dist(coeffs, grid)))
         res = minimize_scalar(
-            lambda c: float(self._kth_smallest(
-                np.asarray(self.zeros_at(t, c, spread)))),
+            lambda c: float(self._kth_dist(coeffs, [c])[0]),
             bounds=(grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]),
             method="bounded", options={"xatol": 1e-10 * span})
         return float(res.x), float(res.fun)
@@ -314,7 +290,7 @@ def search_psi(n: int, k: int, region: ConvexRegion, restarts: int = 50,
 
         def neg(p):
             return objective(encode(family.zeros_at(p[0], p[1] * span,
-                                                    abs(p[2]), polish=True)))
+                                                    abs(p[2]))))
 
         p0 = np.array([t0, c0 / span, s0])
         simplex = np.array([p0,
@@ -325,8 +301,7 @@ def search_psi(n: int, k: int, region: ConvexRegion, restarts: int = 50,
                        options={"maxiter": iters, "xatol": 1e-14,
                                 "fatol": 1e-15, "initial_simplex": simplex})
         best = res.x if res.fun < neg(p0) else p0
-        return encode(family.zeros_at(best[0], best[1] * span, abs(best[2]),
-                                      polish=True))
+        return encode(family.zeros_at(best[0], best[1] * span, abs(best[2])))
 
     best_value = -math.inf
     best_x: np.ndarray | None = None

@@ -143,12 +143,14 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     rows with nonzero leading coefficients, as the (B, deg) eigenvalues of
     the rows' companion matrices, from one LAPACK call over the stack
     (Edelman & Murakami, Math. Comp. 64 (1995)).  Each matrix is solved on
-    its own, so a row's roots are bitwise those of a one-row call.
+    its own, so a row's roots are bitwise those of a one-row call.  Real
+    rows take LAPACK's real solver: complex roots come in exact conjugate
+    pairs, and a stack whose roots are all real gives a real array.
     """
     if not np.isfinite(coeffs).all():
         raise NonConvergence("non-finite polynomial coefficients")
     count, deg = coeffs.shape[0], coeffs.shape[1] - 1
-    companion = np.zeros((count, deg, deg), dtype=np.complex128)
+    companion = np.zeros((count, deg, deg), dtype=coeffs.dtype)
     # first row -c[deg-1..0] / c[deg], ones on the subdiagonal
     np.divide(coeffs[:, -2::-1], -coeffs[:, -1:], out=companion[:, 0, :])
     companion.reshape(count, -1)[:, deg::deg + 1] = 1.0
@@ -252,7 +254,10 @@ def critical_points(f: RationalFunction, root_tol: float = ROOT_TOL,
     of the secular equation sum_w c_w / (z - w) = 0 over the distinct zeros
     and poles, with c_w the signed multiplicity.  The residual is the largest
     relative secular residual |sum c_w/(z - w)| / sum |c_w/(z - w)| at them.
+    A zero within cluster_tol of a pole cancels against it first.
     """
+    if f.poles:
+        f = _reduced(f.zeros, f.poles, f.scale, cluster_tol)
     zc, zm = _cluster(f.zeros, cluster_tol)
     pc, pm = _cluster(f.poles, cluster_tol)
     known: list[complex] = []

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from aglucas import (AGLError, ContourNotFound, Disk, ExclusionBall,
-                     ExclusionSet, RationalFunction, SampleAtSingularity,
-                     Segment, certify, count_in, critical_points,
-                     eps_threshold_general, exclusion_set, find_contour,
-                     from_points, log_derivative, offset_contour,
-                     perturb_to_simple, random_instance, rational_product,
-                     rouche_margin, split_instance, winding_count)
+                     ExclusionSet, HypothesisUnmet, RationalFunction,
+                     SampleAtSingularity, Segment, certify, count_in,
+                     critical_points, eps_threshold_general, exclusion_set,
+                     find_contour, from_points, log_derivative,
+                     offset_contour, perturb_to_simple, random_instance,
+                     rational_product, rouche_margin, split_instance,
+                     winding_count)
 from aglucas import certifier
 from conftest import match_multisets
 
@@ -279,6 +280,12 @@ class TestCertify:
         assert cert.critical_lower_bound == 4
         assert cert.winding == -1
         assert cert.zeros_poles_inside == 5
+
+    def test_zero_on_a_pole_leaves_the_count(self):
+        # in lowest form, (z - 1.05)(z - 5) has one zero in the disk
+        f = RationalFunction((1, 1.05, 5), (1,), 1)
+        with pytest.raises(HypothesisUnmet):
+            certify(f, Disk(1, 0.1), 0.05, 2)
 
     def test_moebius_vacuous(self):
         f = RationalFunction((0,), (3,), 1)

@@ -17,6 +17,10 @@ from aglucas.serialize import (function_from_json, function_to_json,
 
 CUBIC = {"zeros": [[0, 0], [1, 0], [0, 1]], "poles": [], "scale": [1, 0]}
 SEGMENT = {"segment": {"a": [-1, 0], "b": [1, 0]}}
+# the zero at 1 cancels against the pole, leaving one zero in the disk
+ZERO_ON_POLE = {"zeros": [[1, 0], [1.05, 0], [5, 0]], "poles": [[1, 0]],
+                "scale": [1, 0],
+                "region": {"disk": {"center": [1, 0], "radius": 0.1}}}
 
 
 @pytest.fixture
@@ -95,6 +99,12 @@ class TestCheckCommand:
     def test_unknown_flag_exit_two(self, capsys):
         assert run(["check", "--wat"]) == 2
 
+    def test_zero_on_a_pole_exit_two(self, instance_file, capsys):
+        path = instance_file(ZERO_ON_POLE)
+        code = run(["check", "--instance", path, "--k", "2", "--eps", "0.01"])
+        assert code == 2
+        assert "only 1 zeros" in capsys.readouterr().err
+
 
 class TestBoundsCommand:
     def test_csv_row(self, capsys):
@@ -151,6 +161,13 @@ class TestCertifyCommand:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["valid"] is True
+
+    def test_zero_on_a_pole_exit_two(self, instance_file, capsys):
+        path = instance_file(ZERO_ON_POLE)
+        code = run(["certify", "--instance", path, "--k", "2",
+                    "--eps", "0.05"])
+        assert code == 2
+        assert "only 1 zeros" in capsys.readouterr().err
 
     def test_uncertifiable_exit_one(self, instance_file, capsys):
         # heavy outside pole cloud breaks the margin at this eps

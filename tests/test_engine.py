@@ -55,6 +55,15 @@ class TestAGLReport:
         with pytest.raises(HypothesisUnmet):
             agl_report(f, UNIT_DISK, 0.5, 1)
 
+    def test_zero_on_a_pole_leaves_the_count(self):
+        # the zero at 1 cancels against the pole: one zero stays in the disk
+        f = RationalFunction((1, 1.05, 5), (1,), 1)
+        with pytest.raises(HypothesisUnmet):
+            agl_report(f, Disk(1, 0.1), 0.01, 2)
+        rep = agl_report(f, Disk(1, 0.1), 0.01, 1)
+        assert rep.n == 2
+        assert rep.critical_points == pytest.approx((3.025,))
+
     def test_flip_exactly_at_required_epsilon(self, rng):
         for _ in range(10):
             zeros = [complex(z) for z in

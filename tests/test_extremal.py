@@ -9,7 +9,7 @@ from aglucas import (Disk, HypothesisUnmet, InsufficientCriticalPoints,
                      psi1_disk_bound, psi1_kakeya, psi1_marden,
                      random_instance, required_epsilon, search_psi)
 from aglucas.extremal import _ArcFamily
-from aglucas.regions import distances
+from aglucas.rational import _REFINE_DTYPE
 
 UNIT_DISK = Disk(0, 1)
 
@@ -63,25 +63,23 @@ class TestArcGrid:
     def test_batched_grid_matches_per_constant_solves(self, n):
         family = _ArcFamily(n, 2, UNIT_DISK, np.random.default_rng(n))
         for t in (0.7, 1.0, 1.4):
+            coeffs = family.coefficients(t, family.spread)
             span = 3.0 * (t + family.scale) ** n
             grid = np.linspace(-span, span, 180)
-            batched = family._kth_dist(t, grid, family.spread)
-            single = [np.sort(distances(np.asarray(
-                family.zeros_at(t, c, family.spread)), UNIT_DISK))[1]
-                for c in grid]
-            assert np.max(np.abs(batched - single)) <= 1e-12
-            assert np.argmin(batched) == np.argmin(single)
+            batched = family._kth_dist(coeffs, grid)
+            single = [family._kth_dist(coeffs, [c])[0] for c in grid]
+            assert np.array_equal(batched, single)
 
     def test_builder_places_critical_points_on_the_arc(self):
         n, t = 7, 1.1
         family = _ArcFamily(n, 2, UNIT_DISK, np.random.default_rng(0))
         arc = t * np.exp(1j * (np.arange(n - 1) - (n - 2) / 2.0)
                          * family.spread)
-        for dtype in (complex, getattr(np, "complex256", np.complex128)):
-            coeffs = np.array(family.coefficients(t, family.spread, dtype),
-                              dtype=np.complex128)
+        for dtype in (np.float64, np.finfo(_REFINE_DTYPE).dtype):
+            coeffs = family.coefficients(t, family.spread, dtype)
+            assert coeffs.dtype == dtype
             # p' / n = prod(z - arc point), ascending
-            monic = coeffs * np.arange(1, n + 1) / n
+            monic = coeffs.astype(np.float64) * np.arange(1, n + 1) / n
             assert monic[-1] == 1
             assert np.max(np.abs(
                 np.polynomial.polynomial.polyval(arc, monic))) <= 1e-13

@@ -133,6 +133,18 @@ class TestCompanionRoots:
                 assert np.array_equal(_companion_roots(rows[b:b + 1])[0],
                                       roots[b])
 
+    def test_real_rows_match_one_row_calls_in_conjugate_pairs(self, rng):
+        for deg in (1, 3, 6, 17):
+            rows = rng.standard_normal((40, deg + 1))
+            roots = _companion_roots(rows)
+            assert roots.shape == (40, deg)
+            for b in range(40):
+                assert np.array_equal(_companion_roots(rows[b:b + 1])[0],
+                                      roots[b])
+            # the real solver pairs complex roots exactly
+            assert np.array_equal(np.sort_complex(roots),
+                                  np.sort_complex(roots.conj()))
+
     def test_one_row_matches_poly_roots(self, rng):
         row = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         assert poly_roots(Polynomial(row)).points == \
@@ -161,6 +173,11 @@ class TestCriticalPoints:
     def test_moebius_has_none(self):
         f = RationalFunction((0,), (1,), 1)
         assert critical_points(f).points == ()
+
+    def test_zero_on_a_pole_cancels(self):
+        # lowest form is (z - 1.05)(z - 5), with one critical point
+        f = RationalFunction((1, 1.05, 5), (1,), 1)
+        assert critical_points(f).points == pytest.approx((3.025,))
 
     def test_cubic_example_upper_half_plane(self):
         f = from_points([0, 1, 1j], [])
