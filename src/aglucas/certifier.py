@@ -221,8 +221,7 @@ def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
         raise ValueError("k must be positive")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if f.poles:
-        f = _reduced(f.zeros, f.poles, f.scale, CLUSTER_TOL)
+    f = _reduced(f, CLUSTER_TOL)
     inside, remainder = split_instance(f, region, membership_tol)
     if len(inside.zeros) < k:
         raise HypothesisUnmet(

@@ -60,8 +60,7 @@ def agl_report(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if f.poles:
-        f = _reduced(f.zeros, f.poles, f.scale, CLUSTER_TOL)
+    f = _reduced(f, CLUSTER_TOL)
     zeros_in = count_in(f.zeros, region, 0.0, membership_tol)
     if zeros_in < k:
         raise HypothesisUnmet(

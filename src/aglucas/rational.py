@@ -23,6 +23,7 @@ CLUSTER_TOL = 1e-9   # grouping tolerance for multiplicity and cancellation
 _MOMENT_REL = 1e-9   # moments below this relative floor are roundoff survivors
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _BLOCK_TERMS = 2 ** 15  # (point, sample) terms per log_derivative_field block
+_EIG_MAX = 16        # most centres whose secular roots start as eigenvalues
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,7 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
         raise NonConvergence(f"companion eigenvalues failed: {exc}") from None
 
 
+@np.errstate(invalid="ignore", over="ignore")   # inf - inf, far-off pairs
 def _crowded(pts: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the points lying within tol of another point."""
     gap = np.abs(pts[:, None] - pts)
@@ -168,7 +170,15 @@ def _crowded(pts: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _cluster(points, tol: float):
-    """Group nearly coincident points; returns (centers, multiplicities)."""
+    """Group nearly coincident points; returns (centers, multiplicities).
+
+    Points that lie pairwise farther apart than tol come back as they are,
+    after one array test; the loop, which merges a point into the first
+    running-mean centre within tol, only runs on crowded input.  The test
+    screens at 2 * tol because numpy and Python round |z - c| differently.
+    """
+    if len(points) < 2 or not _crowded(np.array(points), 2.0 * tol).any():
+        return list(points), [1] * len(points)
     centers: list[complex] = []
     counts: list[int] = []
     for z in points:
@@ -200,14 +210,18 @@ def _secular_aberth(z: np.ndarray, centers: np.ndarray, weights: np.ndarray,
     S = D'/D needs only the centre data, so clustered configurations keep
     the relative accuracy that expanding N into coefficients loses.  A root
     settles when its correction drops below root_tol * max(1, |z|), or when
-    |R| reaches the noise floor of its own evaluation, below which
-    coincident roots cannot shrink their corrections.
+    |R| reaches the noise floor of its own evaluation, 16 ulps of
+    sum |weights / (z - centers)|, below which coincident roots cannot
+    shrink their corrections.  At the floor a root still takes the
+    correction computed there unless |R| is within one ulp: near a tight
+    cluster of roots R' is tiny, and stopping one correction early left
+    search witnesses up to 2.7e-6 off their 60-digit values.
     """
     n, d = len(z), len(centers)
     z = z.astype(dtype)
     c = centers.astype(dtype)
     w = weights.astype(dtype)
-    noise_w = 16.0 * float(np.finfo(w.real.dtype).eps) * np.abs(weights)
+    ulp_w = float(np.finfo(w.real.dtype).eps) * np.abs(weights)
     # the root-centre terms, then the root-root terms (n <= d - 1), share one
     # buffer overwritten in place; with |terms| in float64 that is all the work
     buf = np.empty(n * d, dtype=dtype)
@@ -220,7 +234,7 @@ def _secular_aberth(z: np.ndarray, centers: np.ndarray, weights: np.ndarray,
         np.reciprocal(np.subtract.outer(z, c, out=near), out=near)
         r = near @ w
         s = near.sum(axis=1)
-        noise = np.abs(near, out=size) @ noise_w
+        ulp = np.abs(near, out=size) @ ulp_w
         minus_dr = np.square(near, out=near) @ w
         np.subtract.outer(z, z, out=mutual)
         self_terms[...] = np.inf
@@ -233,10 +247,11 @@ def _secular_aberth(z: np.ndarray, centers: np.ndarray, weights: np.ndarray,
             cap = 0.5 * (1.0 + np.abs(z))
             step = np.where(mag > cap, step * (cap / mag), step)
             step[~np.isfinite(step)] = 0.1 + 0.1j
-        settled |= np.abs(r) <= noise
-        step[settled] = 0.0
+        resid = np.abs(r)
+        step[settled | (resid <= ulp)] = 0.0
         z -= step
-        settled |= mag <= root_tol * np.maximum(1.0, np.abs(z))
+        settled |= (resid <= 16.0 * ulp) | (
+            mag <= root_tol * np.maximum(1.0, np.abs(z)))
         if settled.all():
             return z
     raise NonConvergence(
@@ -256,8 +271,7 @@ def critical_points(f: RationalFunction, root_tol: float = ROOT_TOL,
     relative secular residual |sum c_w/(z - w)| / sum |c_w/(z - w)| at them.
     A zero within cluster_tol of a pole cancels against it first.
     """
-    if f.poles:
-        f = _reduced(f.zeros, f.poles, f.scale, cluster_tol)
+    f = _reduced(f, cluster_tol)
     zc, zm = _cluster(f.zeros, cluster_tol)
     pc, pm = _cluster(f.poles, cluster_tol)
     known: list[complex] = []
@@ -271,6 +285,37 @@ def critical_points(f: RationalFunction, root_tol: float = ROOT_TOL,
     return RootSet(tuple(known) + extra, residual)
 
 
+def _eigen_start(unit: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The d - 1 roots of sum weights / (z - unit), for weights with a
+    nonzero sum, from one LAPACK call: with the centre u_j farthest out
+    dropped, they are the eigenvalues of diag(u_i) - v 1^T over i != j,
+    v_i = w_i (u_i - u_j) / sum w, a diagonal-plus-rank-one matrix whose
+    characteristic polynomial is D * R / sum w (Golub, SIAM Rev. 15 (1973)).
+    """
+    j = int(np.argmax(np.abs(unit)))
+    v = weights * (unit - unit[j]) / weights.sum()
+    matrix = np.diag(np.delete(unit, j)) - np.delete(v, j)[:, None]
+    try:
+        return np.linalg.eigvals(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"secular eigenvalues failed: {exc}") from None
+
+
+def _aberth_start(unit: np.ndarray, weights: np.ndarray, count: int,
+                  root_tol: float) -> np.ndarray:
+    """The count roots of sum weights / (z - unit) by complex128 Aberth
+    iteration, from one start beside each centre but the farthest out (the
+    farthest few when the degree drops), half way to the nearest other
+    centre, heading for the origin with a tilt of up to 20 degrees on the
+    golden-angle sequence, so that no two starts coincide."""
+    beside = unit[sorted(range(len(unit)), key=lambda k: abs(unit[k]))[:count]]
+    gap = np.abs(np.subtract.outer(beside, unit))
+    gap[gap == 0.0] = np.inf  # each start's own centre
+    tilt = 0.11 * (_GOLDEN_ANGLE * np.arange(count) % math.tau - math.pi)
+    z = beside + 0.5 * gap.min(1) * np.exp(1j * (np.angle(-beside) + tilt))
+    return _secular_aberth(z, unit, weights, np.complex128, root_tol)
+
+
 def _partial_fraction_roots(centers, weights, root_tol):
     """Roots of N = D * sum weights / (z - centers), D = prod(z - centers).
 
@@ -279,14 +324,22 @@ def _partial_fraction_roots(centers, weights, root_tol):
     sum weights * centers**m is the first that does not vanish; that moment
     is N's leading coefficient.  Two centres give the one root in closed
     form, exact where iterating would leave rounding noise (the midpoint of
-    a symmetric pair is 0, not 1e-16).  Otherwise Aberth iteration on the
-    secular equation finds the roots, in complex128 on the centred and scaled
-    centres, then finished in _REFINE_DTYPE on the centres as given.
+    a symmetric pair is 0, not 1e-16).  Otherwise the roots are started on
+    the centred and scaled centres and finished by Aberth iteration in
+    _REFINE_DTYPE on the centres as given.  Up to _EIG_MAX centres with no
+    degree drop (m = 0: the weights are signed multiplicities, so their sum
+    is then a nonzero integer) the start is _eigen_start's eigenvalue solve,
+    which the finish settles in one or two sweeps; above that bound, or when
+    the degree drops, it is _aberth_start.  Centres that are not finite, or
+    overflow when centred, raise NonConvergence.
     """
     d = len(centers)
-    origin = centers.sum() / d
-    spread = float(np.abs(centers - origin).max()) or 1.0
-    unit = (centers - origin) / spread
+    with np.errstate(invalid="ignore", over="ignore"):
+        origin = centers.sum() / d
+        spread = float(np.abs(centers - origin).max()) or 1.0
+        unit = (centers - origin) / spread
+    if not np.isfinite(unit).all():
+        raise NonConvergence("non-finite centres")
     term = weights
     m = 0
     while m < d - 1 and abs(term.sum()) <= _MOMENT_REL * np.abs(term).sum():
@@ -299,16 +352,10 @@ def _partial_fraction_roots(centers, weights, root_tol):
     if d == 2:
         z = np.array([weights @ centers[::-1] / weights.sum()])
     else:
-        # one start beside each centre but the farthest out (the farthest
-        # few when the degree drops), half way to the nearest other centre,
-        # heading for the origin with a tilt of up to 20 degrees on the
-        # golden-angle sequence, so that no two starts coincide
-        beside = unit[sorted(range(d), key=lambda k: abs(unit[k]))[:count]]
-        gap = np.abs(np.subtract.outer(beside, unit))
-        gap[gap == 0.0] = np.inf  # each start's own centre
-        tilt = 0.11 * (_GOLDEN_ANGLE * np.arange(count) % math.tau - math.pi)
-        z = beside + 0.5 * gap.min(1) * np.exp(1j * (np.angle(-beside) + tilt))
-        z = _secular_aberth(z, unit, weights, np.complex128, root_tol)
+        if count == d - 1 and d <= _EIG_MAX:
+            z = _eigen_start(unit, weights)
+        else:
+            z = _aberth_start(unit, weights, count, root_tol)
         z = _secular_aberth(origin + spread * z, centers, weights,
                             _REFINE_DTYPE, root_tol).astype(np.complex128)
     terms = np.subtract.outer(z, centers)
@@ -339,27 +386,35 @@ def log_derivative(f: RationalFunction, root_tol: float = ROOT_TOL,
 def rational_product(a: RationalFunction, b: RationalFunction,
                      cluster_tol: float = CLUSTER_TOL) -> RationalFunction:
     """Product of two rational functions, reduced to lowest form."""
-    return _reduced(a.zeros + b.zeros, a.poles + b.poles,
-                    a.scale * b.scale, cluster_tol)
+    return _reduced(RationalFunction(a.zeros + b.zeros, a.poles + b.poles,
+                                     a.scale * b.scale), cluster_tol)
 
 
 def from_points(zeros, poles, cluster_tol: float = CLUSTER_TOL) -> RationalFunction:
     """Monic rational function with the given zeros and poles, reduced."""
-    return _reduced(tuple(zeros), tuple(poles), 1.0 + 0j, cluster_tol)
+    return _reduced(RationalFunction(tuple(zeros), tuple(poles)), cluster_tol)
 
 
-def _reduced(zeros, poles, scale, tol):
-    remaining = [complex(p) for p in poles]
+def _reduced(f: RationalFunction, tol: float) -> RationalFunction:
+    """f in lowest form: each zero cancels the first remaining pole within
+    tol.  f itself comes back when one array test finds no zero within
+    2 * tol of a pole (numpy and Python round |z - p| differently)."""
+    if not f.zeros or not f.poles:
+        return f
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = np.abs(np.subtract.outer(np.array(f.zeros), np.array(f.poles)))
+    if not (gap <= 2.0 * tol).any():
+        return f
+    remaining = list(f.poles)
     kept_zeros: list[complex] = []
-    for z in zeros:
-        z = complex(z)
+    for z in f.zeros:
         for i, p in enumerate(remaining):
             if abs(z - p) <= tol:
                 del remaining[i]
                 break
         else:
             kept_zeros.append(z)
-    return RationalFunction(tuple(kept_zeros), tuple(remaining), scale)
+    return RationalFunction(tuple(kept_zeros), tuple(remaining), f.scale)
 
 
 def rational_eval(f: RationalFunction, z):

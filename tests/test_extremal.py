@@ -5,9 +5,10 @@ import pytest
 
 from aglucas import (Disk, HypothesisUnmet, InsufficientCriticalPoints,
                      RationalFunction, Segment, asymptotic_experiment,
-                     conjecture_probe, from_points, psi1_biernacki,
-                     psi1_disk_bound, psi1_kakeya, psi1_marden,
-                     random_instance, required_epsilon, search_psi)
+                     conjecture_probe, critical_points, from_points,
+                     psi1_biernacki, psi1_disk_bound, psi1_kakeya,
+                     psi1_marden, random_instance, required_epsilon,
+                     search_psi)
 from aglucas.extremal import _ArcFamily
 from aglucas.rational import _REFINE_DTYPE
 
@@ -16,9 +17,11 @@ UNIT_DISK = Disk(0, 1)
 
 class TestRequiredEpsilonEdges:
     def test_moebius_has_no_critical_points(self):
+        # two zeros over two poles: the degree drops (weights sum to 0) and
+        # f still has two critical points, so it is no Moebius failure
         f = RationalFunction((0.1, 0.2), (0.5, 0.7), 1)
-        # z and poles interleave; this specific f has 2 critical points,
-        # so build the true Moebius-like failure instead
+        assert sorted(z.real for z in critical_points(f).points) == \
+            pytest.approx([0.155848156, 0.577485177])
         g = RationalFunction((0.0,), (5.0,), 1)
         with pytest.raises((InsufficientCriticalPoints, HypothesisUnmet)):
             required_epsilon(g, UNIT_DISK, 2)
@@ -51,11 +54,38 @@ class TestSearchSmall:
                 candidates.append(psi1_kakeya(n))
             assert res.best_required_epsilon <= min(candidates) + 1e-9
 
+    def test_witnesses_match_60_digit_values(self):
+        # the solver's accuracy bar: each witness's value, recomputed from
+        # its zeros in 60-digit arithmetic, is within 1.2e-7 of the reported
+        for n in range(3, 9):
+            for seed in (100 * n + 1, 100 * n + 2, 100 * n + 3):
+                res = search_psi(n, 2, UNIT_DISK, restarts=1, iters=40,
+                                 seed=seed)
+                exact = _disk_value_60_digits(res.best_configuration.zeros)
+                assert abs(res.best_required_epsilon - exact) <= 1.2e-7, \
+                    (n, seed)
+
     def test_trace_monotone(self):
         res = search_psi(4, 2, UNIT_DISK, restarts=6, iters=150, seed=2)
         values = [v for _, v in res.trace]
         assert values == sorted(values)
         assert res.evaluations >= len(res.trace)
+
+
+def _disk_value_60_digits(zeros):
+    """Least distance to the unit disk among the critical points of
+    prod(z - zeros), from 60-digit roots of the expanded derivative."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpc(1)]
+        for z in zeros:
+            coeffs = [c - mpmath.mpc(z.real, z.imag) * b
+                      for c, b in zip(coeffs + [0], [0] + coeffs)]
+        n = len(coeffs) - 1
+        deriv = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+        roots = mpmath.polyroots(deriv, maxsteps=400, extraprec=400)
+        return float(min(max(abs(r) - 1, 0) for r in roots))
 
 
 class TestArcGrid:

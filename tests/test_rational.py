@@ -250,6 +250,187 @@ class TestCriticalPoints:
                 assert distance(c, hull)[0] <= 1e-9
 
 
+def _signed_centres(gen, d):
+    """d distinct Gaussian centres, each a zero of multiplicity 1-3 or a pole
+    of multiplicity 1-2, drawn until the weights do not sum to 0."""
+    while True:
+        centres = gen.standard_normal(d) + 1j * gen.standard_normal(d)
+        weights = gen.choice([1, 1, 2, 3, -1, -2], d)
+        if weights.sum() != 0:
+            return centres, weights
+
+
+def _from_weights(centres, weights):
+    zeros = [c for c, w in zip(centres, weights) for _ in range(max(w, 0))]
+    poles = [c for c, w in zip(centres, weights) for _ in range(max(-w, 0))]
+    return RationalFunction(tuple(zeros), tuple(poles), 1)
+
+
+def _aberth_path(monkeypatch, f):
+    """critical_points(f) with every solve sent down the Aberth start."""
+    with monkeypatch.context() as m:
+        m.setattr(rational, "_EIG_MAX", 2)
+        return critical_points(f)
+
+
+def _one_to_one_gap(got, want):
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(np.subtract.outer(np.asarray(got), np.asarray(want)))
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+class TestEigenStart:
+    """Small secular solves start from diag(u) - v 1^T's eigenvalues."""
+
+    @pytest.mark.parametrize("d", range(3, rational._EIG_MAX + 2))
+    def test_matches_aberth_path(self, monkeypatch, d):
+        gen = np.random.default_rng(1000 + d)
+        for _ in range(10):
+            centres, weights = _signed_centres(gen, d)
+            f = _from_weights(centres, weights)
+            got, want = critical_points(f), _aberth_path(monkeypatch, f)
+            spread = float(np.abs(centres - centres.mean()).max())
+            assert len(got.points) == len(want.points) == \
+                int(np.maximum(weights, 1).sum()) - 1
+            assert _one_to_one_gap(got.points, want.points) <= 1e-12 * spread
+            # residual: the relative secular residual at the distinct roots
+            extra = np.asarray(got.points[len(got.points) - d + 1:])
+            terms = weights / np.subtract.outer(extra, centres)
+            resid = np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
+            assert got.residual == pytest.approx(float(resid.max()))
+            assert got.residual <= 1e-12
+
+    def test_tight_cluster_matches_aberth_path(self, monkeypatch):
+        gen = np.random.default_rng(7)
+        for d in (5, 8, 12, rational._EIG_MAX):
+            cluster = 0.3 + 1e-4 * (gen.random(d - 3) + 1j * gen.random(d - 3))
+            zeros = np.concatenate([cluster, [2.0, -1.5 + 1j, 1j]])
+            f = RationalFunction(tuple(zeros), (-0.7 - 2j,), 1)
+            got, want = critical_points(f), _aberth_path(monkeypatch, f)
+            assert _one_to_one_gap(got.points, want.points) <= 1e-12 * 3.0
+            # float64 points beside the cluster cancel in the residual sum
+            assert got.residual <= 1e-10
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_regular_polygon_critical_points_at_centre(self, n):
+        # p = (z - c)^n - r^n: all n - 1 critical points sit at c; rounding
+        # the zeros to doubles splits that point by about r eps^(1 / (n - 1))
+        c, r = 0.3 - 0.2j, 1.7
+        zeros = c + r * np.exp(2j * np.pi * np.arange(n) / n)
+        pts = np.asarray(critical_points(
+            RationalFunction(tuple(zeros), (), 1)).points)
+        assert len(pts) == n - 1
+        eps = np.finfo(np.float64).eps
+        assert np.max(np.abs(pts - c)) <= 2.0 * r * eps ** (1.0 / (n - 1))
+
+    @pytest.mark.parametrize("d", range(3, rational._EIG_MAX + 1))
+    def test_collinear_real_zeros_interlace(self, d):
+        zeros = np.sort(np.random.default_rng(d).uniform(-2, 5, d))
+        pts = np.asarray(critical_points(
+            RationalFunction(tuple(zeros), (), 1)).points)
+        assert np.max(np.abs(pts.imag)) <= 1e-12 * np.ptp(zeros)
+        crit = np.sort(pts.real)
+        assert np.all(zeros[:-1] < crit) and np.all(crit < zeros[1:])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(1, math.inf)])
+    @pytest.mark.parametrize("d", [4, rational._EIG_MAX + 3])
+    def test_non_finite_centre_raises(self, bad, d):
+        zeros = tuple(range(d - 1)) + (bad,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence):
+                critical_points(RationalFunction(zeros, (), 1))
+
+    def test_eigenvalue_failure_raises(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NonConvergence):
+            critical_points(RationalFunction((0, 1, 1j), (), 1))
+
+    def test_both_paths_exercised(self, monkeypatch):
+        calls = []
+        for name in ("_eigen_start", "_aberth_start"):
+            def spy(*args, _name=name, _inner=getattr(rational, name)):
+                calls.append(_name)
+                return _inner(*args)
+            monkeypatch.setattr(rational, name, spy)
+
+        def path(zeros, poles=()):
+            calls.clear()
+            critical_points(RationalFunction(tuple(zeros), tuple(poles), 1))
+            return calls[:]
+
+        big = rational._EIG_MAX
+        assert path(range(3)) == ["_eigen_start"]
+        assert path(range(big)) == ["_eigen_start"]
+        assert path(range(big + 1)) == ["_aberth_start"]
+        # a degree drop (weights summing to 0) and two centres keep their paths
+        assert path((0.1, 0.2), (0.5, 0.7)) == ["_aberth_start"]
+        assert path((0.1, 0.2)) == []
+
+
+class TestScreens:
+    """_cluster and _reduced skip their loops when nothing is near."""
+
+    @staticmethod
+    def _loop_cluster(points, tol):
+        centers, counts = [], []
+        for z in points:
+            for i, c in enumerate(centers):
+                if abs(z - c) <= tol:
+                    counts[i] += 1
+                    centers[i] = c + (z - c) / counts[i]
+                    break
+            else:
+                centers.append(complex(z))
+                counts.append(1)
+        return centers, counts
+
+    @staticmethod
+    def _loop_reduced(f, tol):
+        remaining, kept = list(f.poles), []
+        for z in f.zeros:
+            for i, p in enumerate(remaining):
+                if abs(z - p) <= tol:
+                    del remaining[i]
+                    break
+            else:
+                kept.append(z)
+        return RationalFunction(tuple(kept), tuple(remaining), f.scale)
+
+    def test_cluster_matches_loop(self, rng):
+        tol = rational.CLUSTER_TOL
+        for n in (0, 1, 2, 5, 30):
+            spread = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            half = spread[:n // 2]
+            near = np.concatenate(
+                [half, half + 0.9 * tol * np.exp(1j * rng.random(n // 2))])
+            edge = [0j, complex(tol), 1 + 0j, 1 + 2 * tol * 1j]
+            for pts in (tuple(spread.tolist()), tuple(near.tolist()),
+                        tuple(edge)):
+                assert rational._cluster(pts, tol) == \
+                    self._loop_cluster(pts, tol)
+
+    def test_reduced_returns_f_when_nothing_cancels(self, rng):
+        zeros = rng.standard_normal(28) + 1j * rng.standard_normal(28)
+        f = RationalFunction(tuple(zeros), (5 + 5j,), 1)
+        assert rational._reduced(f, rational.CLUSTER_TOL) is f
+        g = RationalFunction(tuple(zeros), (), 1)
+        assert rational._reduced(g, rational.CLUSTER_TOL) is g
+
+    def test_reduced_matches_loop(self, rng):
+        tol = rational.CLUSTER_TOL
+        zeros = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        for poles in ([zeros[3] + 0.5 * tol, zeros[3], 7.0],
+                      [zeros[0] + tol, zeros[1] + 1.5 * tol],
+                      [complex(zeros[2]), zeros[2]]):
+            f = RationalFunction(tuple(zeros), tuple(poles), 2)
+            assert rational._reduced(f, tol) == self._loop_reduced(f, tol)
+
+
 def _high_degree_zeros(family, n, seed):
     gen = np.random.default_rng(seed)
     if family == "equispaced":
