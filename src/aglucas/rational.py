@@ -24,6 +24,7 @@ _MOMENT_REL = 1e-9   # moments below this relative floor are roundoff survivors
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _BLOCK_TERMS = 2 ** 15  # (point, sample) terms per log_derivative_field block
 _EIG_MAX = 16        # most centres whose secular roots start as eigenvalues
+_SCREEN_MIN = 13     # fewest points for which _cluster's array test pays
 
 
 @dataclass(frozen=True)
@@ -172,12 +173,14 @@ def _crowded(pts: np.ndarray, tol: float) -> np.ndarray:
 def _cluster(points, tol: float):
     """Group nearly coincident points; returns (centers, multiplicities).
 
-    Points that lie pairwise farther apart than tol come back as they are,
-    after one array test; the loop, which merges a point into the first
-    running-mean centre within tol, only runs on crowded input.  The test
-    screens at 2 * tol because numpy and Python round |z - c| differently.
+    From _SCREEN_MIN points up, points that lie pairwise farther apart than
+    tol come back as they are after one array test (below that the loop is
+    cheaper); the loop, which merges a point into the first running-mean
+    centre within tol, runs on the rest.  The test screens at 2 * tol
+    because numpy and Python round |z - c| differently.
     """
-    if len(points) < 2 or not _crowded(np.array(points), 2.0 * tol).any():
+    if len(points) >= _SCREEN_MIN and not _crowded(np.array(points),
+                                                    2.0 * tol).any():
         return list(points), [1] * len(points)
     centers: list[complex] = []
     counts: list[int] = []
@@ -337,9 +340,9 @@ def _partial_fraction_roots(centers, weights, root_tol):
     with np.errstate(invalid="ignore", over="ignore"):
         origin = centers.sum() / d
         spread = float(np.abs(centers - origin).max()) or 1.0
-        unit = (centers - origin) / spread
-    if not np.isfinite(unit).all():
+    if not math.isfinite(spread):
         raise NonConvergence("non-finite centres")
+    unit = (centers - origin) / spread
     term = weights
     m = 0
     while m < d - 1 and abs(term.sum()) <= _MOMENT_REL * np.abs(term).sum():

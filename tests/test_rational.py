@@ -408,7 +408,9 @@ class TestScreens:
             half = spread[:n // 2]
             near = np.concatenate(
                 [half, half + 0.9 * tol * np.exp(1j * rng.random(n // 2))])
-            edge = [0j, complex(tol), 1 + 0j, 1 + 2 * tol * 1j]
+            # pairs at tol and at 2 * tol, among enough points to be screened
+            edge = [0j, complex(tol), 1 + 0j, 1 + 2 * tol * 1j] + [
+                5 + 1j * k for k in range(rational._SCREEN_MIN)]
             for pts in (tuple(spread.tolist()), tuple(near.tolist()),
                         tuple(edge)):
                 assert rational._cluster(pts, tol) == \
@@ -425,7 +427,7 @@ class TestScreens:
         tol = rational.CLUSTER_TOL
         zeros = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         for poles in ([zeros[3] + 0.5 * tol, zeros[3], 7.0],
-                      [zeros[0] + tol, zeros[1] + 1.5 * tol],
+                      [zeros[0] + 0.9 * tol, zeros[1] + 1.5 * tol],
                       [complex(zeros[2]), zeros[2]]):
             f = RationalFunction(tuple(zeros), tuple(poles), 2)
             assert rational._reduced(f, tol) == self._loop_reduced(f, tol)
