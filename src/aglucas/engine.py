@@ -86,7 +86,7 @@ def agl_report(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
         holds=crit_in >= k - 1,
         required_epsilon=required,
         critical_points=tuple(crit.points),
-        critical_distances=tuple(float(x) for x in dist),
+        critical_distances=tuple(dist.tolist()),
     )
 
 

@@ -206,56 +206,62 @@ _REFINE_DTYPE = getattr(np, "complex256", np.complex128)
 def _secular_aberth(z: np.ndarray, centers: np.ndarray, weights: np.ndarray,
                     dtype, root_tol: float,
                     max_iterations: int = 200) -> np.ndarray:
-    """Aberth iteration in ``dtype`` on the roots of N = D * R, where
+    """Aberth iteration on the roots of N = D * R, where
     R(z) = sum weights / (z - centers) and D = prod(z - centers).
 
     Everything is evaluated in partial-fraction form: N'/N = R'/R + S with
     S = D'/D needs only the centre data, so clustered configurations keep
-    the relative accuracy that expanding N into coefficients loses.  A root
-    settles when its correction drops below root_tol * max(1, |z|), or when
-    |R| reaches the noise floor of its own evaluation, 16 ulps of
-    sum |weights / (z - centers)|, below which coincident roots cannot
-    shrink their corrections.  At the floor a root still takes the
-    correction computed there unless |R| is within one ulp: near a tight
-    cluster of roots R' is tiny, and stopping one correction early left
-    search witnesses up to 2.7e-6 off their 60-digit values.
+    the relative accuracy that expanding N into coefficients loses.  Only
+    R, which cancels at a root, and the roots are in ``dtype``: the
+    correction is as accurate as R to first order (Bini & Robol, JCAM 272
+    (2014)).  A root settles, and retires, when its correction drops below
+    root_tol * max(1, |z|), or when |R| reaches its evaluation's noise
+    floor, 16 ``dtype`` ulps of sum |weights / (z - centers)|, below which
+    coincident roots cannot shrink their corrections.  At the floor a root
+    still takes the correction computed there unless |R| is within one ulp:
+    near a tight cluster of roots R' is tiny, and stopping one correction
+    early left search witnesses up to 2.7e-6 off their 60-digit values.
     """
     n, d = len(z), len(centers)
     z = z.astype(dtype)
     c = centers.astype(dtype)
     w = weights.astype(dtype)
     ulp_w = float(np.finfo(w.real.dtype).eps) * np.abs(weights)
-    # the root-centre terms, then the root-root terms (n <= d - 1), share one
-    # buffer overwritten in place; with |terms| in float64 that is all the work
+    # one buffer holds the unsettled rows' root-centre terms in dtype, then
+    # as complex128 (cast in place, forward) those and the root-root terms
     buf = np.empty(n * d, dtype=dtype)
-    near = buf.reshape(n, d)
-    mutual = buf[:n * n].reshape(n, n)
-    self_terms = buf[:n * n:n + 1]
-    size = np.empty((n, d))
-    settled = np.zeros(n, dtype=bool)
+    low = buf.view(np.complex128)
+    size = np.empty(n * d)
+    active = np.arange(n)
     for _ in range(max_iterations):
-        np.reciprocal(np.subtract.outer(z, c, out=near), out=near)
-        r = near @ w
+        a = len(active)
+        near = buf[:a * d].reshape(a, d)
+        np.reciprocal(np.subtract.outer(z[active], c, out=near), out=near)
+        r = (near @ w).astype(np.complex128)
+        np.copyto(low[:a * d], buf[:a * d])
+        near = low[:a * d].reshape(a, d)
         s = near.sum(axis=1)
-        ulp = np.abs(near, out=size) @ ulp_w
-        minus_dr = np.square(near, out=near) @ w
-        np.subtract.outer(z, z, out=mutual)
-        self_terms[...] = np.inf
+        ulp = np.abs(near, out=size[:a * d].reshape(a, d)) @ ulp_w
+        minus_dr = np.square(near, out=near) @ weights
+        roots = z.astype(np.complex128)
+        zd = roots[active]
+        mutual = np.subtract.outer(zd, roots, out=low[:a * n].reshape(a, n))
+        mutual[np.arange(a), active] = np.inf
         rep = np.reciprocal(mutual, out=mutual).sum(axis=1)
         step = 1.0 / ((s - rep) - minus_dr / r)
         mag = np.abs(step)
         if not mag.max() <= 0.5:
             # a runaway correction, or a root on a centre: damp the first
             # (far out, Newton can overshoot), nudge the second
-            cap = 0.5 * (1.0 + np.abs(z))
+            cap = 0.5 * (1.0 + np.abs(zd))
             step = np.where(mag > cap, step * (cap / mag), step)
             step[~np.isfinite(step)] = 0.1 + 0.1j
         resid = np.abs(r)
-        step[settled | (resid <= ulp)] = 0.0
-        z -= step
-        settled |= (resid <= 16.0 * ulp) | (
-            mag <= root_tol * np.maximum(1.0, np.abs(z)))
-        if settled.all():
+        step[resid <= ulp] = 0.0
+        z[active] -= step
+        active = active[~((resid <= 16.0 * ulp) | (
+            mag <= root_tol * np.maximum(1.0, np.abs(zd - step))))]
+        if not active.size:
             return z
     raise NonConvergence(
         f"critical-point corrections not settled after {max_iterations} "
@@ -296,8 +302,9 @@ def _eigen_start(unit: np.ndarray, weights: np.ndarray) -> np.ndarray:
     characteristic polynomial is D * R / sum w (Golub, SIAM Rev. 15 (1973)).
     """
     j = int(np.argmax(np.abs(unit)))
+    keep = np.arange(len(unit)) != j
     v = weights * (unit - unit[j]) / weights.sum()
-    matrix = np.diag(np.delete(unit, j)) - np.delete(v, j)[:, None]
+    matrix = np.diag(unit[keep]) - v[keep][:, None]
     try:
         return np.linalg.eigvals(matrix)
     except np.linalg.LinAlgError as exc:
@@ -311,7 +318,7 @@ def _aberth_start(unit: np.ndarray, weights: np.ndarray, count: int,
     farthest few when the degree drops), half way to the nearest other
     centre, heading for the origin with a tilt of up to 20 degrees on the
     golden-angle sequence, so that no two starts coincide."""
-    beside = unit[sorted(range(len(unit)), key=lambda k: abs(unit[k]))[:count]]
+    beside = unit[np.argsort(np.abs(unit), kind="stable")[:count]]
     gap = np.abs(np.subtract.outer(beside, unit))
     gap[gap == 0.0] = np.inf  # each start's own centre
     tilt = 0.11 * (_GOLDEN_ANGLE * np.arange(count) % math.tau - math.pi)
@@ -328,13 +335,13 @@ def _partial_fraction_roots(centers, weights, root_tol):
     is N's leading coefficient.  Two centres give the one root in closed
     form, exact where iterating would leave rounding noise (the midpoint of
     a symmetric pair is 0, not 1e-16).  Otherwise the roots are started on
-    the centred and scaled centres and finished by Aberth iteration in
-    _REFINE_DTYPE on the centres as given.  Up to _EIG_MAX centres with no
-    degree drop (m = 0: the weights are signed multiplicities, so their sum
-    is then a nonzero integer) the start is _eigen_start's eigenvalue solve,
-    which the finish settles in one or two sweeps; above that bound, or when
-    the degree drops, it is _aberth_start.  Centres that are not finite, or
-    overflow when centred, raise NonConvergence.
+    the centred and scaled centres and finished by _secular_aberth on the
+    centres as given (only the sum in _REFINE_DTYPE).  Up to _EIG_MAX centres
+    with no degree drop (m = 0: the weights are signed multiplicities, so
+    their sum is then a nonzero integer) the start is _eigen_start's
+    eigenvalue solve, which the finish settles in one or two sweeps; above
+    that bound, or when the degree drops, it is _aberth_start.  Centres that
+    are not finite, or overflow when centred, raise NonConvergence.
     """
     d = len(centers)
     with np.errstate(invalid="ignore", over="ignore"):

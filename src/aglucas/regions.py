@@ -103,16 +103,16 @@ def _hull(region: ConvexRegion) -> tuple[tuple[complex, ...], float]:
     return region.vertices, 0.0
 
 
-def _project(z: np.ndarray, vertices) -> tuple[np.ndarray, np.ndarray]:
+def _project(z: np.ndarray, vertices, closest=None) -> np.ndarray:
     """Distance from each point of the 1-d array z to the convex hull of the
-    vertices (one point, a segment's two ends or a ccw polygon), and the
-    closest hull point; a point inside a polygon is its own closest point."""
+    vertices (one point, a segment's two ends or a ccw polygon).  Given an
+    array of z's shape as closest and two or more vertices, also writes the
+    closest hull point there; a point inside a polygon is its own."""
     if len(vertices) == 1:
-        return np.abs(z - vertices[0]), np.full_like(z, vertices[0])
+        return np.abs(z - vertices[0])
     polygon = len(vertices) > 2
     inside = np.full(z.shape, polygon)
     best = np.full(z.shape, np.inf)
-    closest = np.empty_like(z)
     for i in range(len(vertices) if polygon else 1):
         u = vertices[i]
         e = vertices[(i + 1) % len(vertices)] - u
@@ -123,12 +123,14 @@ def _project(z: np.ndarray, vertices) -> tuple[np.ndarray, np.ndarray]:
             (rel.real * e.real + rel.imag * e.imag) / abs(e) ** 2, 0.0), 1.0)
         foot = u + t * e
         dist = np.abs(z - foot)
-        np.copyto(closest, foot, where=dist < best)
+        if closest is not None:
+            np.copyto(closest, foot, where=dist < best)
         np.minimum(best, dist, out=best)
     if polygon:
         best[inside] = 0.0
-        np.copyto(closest, z, where=inside)
-    return best, closest
+        if closest is not None:
+            np.copyto(closest, z, where=inside)
+    return best
 
 
 def diameter(region: ConvexRegion) -> float:
@@ -171,7 +173,8 @@ def distance(z, region: ConvexRegion):
     arr = np.asarray(z, dtype=np.complex128)
     flat = arr.ravel()
     verts, radius = _hull(region)
-    d, w = _project(flat, verts)
+    w = np.full_like(flat, verts[0]) if len(verts) == 1 else np.empty_like(flat)
+    d = _project(flat, verts, w)
     dist = np.maximum(d - radius, 0.0)
     if radius:
         # step from z toward the hull point by dist, so z stays put where
@@ -187,7 +190,7 @@ def distances(zs, region: ConvexRegion) -> np.ndarray:
     region."""
     arr = np.asarray(zs, dtype=np.complex128)
     verts, radius = _hull(region)
-    d, _ = _project(arr.ravel(), verts)
+    d = _project(arr.ravel(), verts)
     return np.maximum(d - radius, 0.0).reshape(arr.shape)
 
 

@@ -474,6 +474,108 @@ class TestHighDegree:
         assert crit.residual <= 1e-10
 
 
+def _secular_roots_60_digits(centres, weights):
+    """Roots of sum weights / (z - centres) (weights not summing to 0), from
+    60-digit roots of the expanded numerator sum_j w_j prod_{k != j}(z - c_k).
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        cs = [mpmath.mpc(c.real, c.imag) for c in centres]
+        numerator = [mpmath.mpc(0)] * len(cs)    # descending, degree d - 1
+        for j, w in enumerate(weights):
+            p = [mpmath.mpc(1)]
+            for k, c in enumerate(cs):
+                if k != j:
+                    p = [a - c * b for a, b in zip(p + [0], [0] + p)]
+            numerator = [x + int(w) * y for x, y in zip(numerator, p)]
+        roots = mpmath.polyroots(numerator, maxsteps=400, extraprec=400)
+        return [complex(r) for r in roots]
+
+
+class _SubtractSpy:
+    """Stands in for numpy inside rational, recording the arguments of every
+    np.subtract.outer call."""
+
+    def __init__(self):
+        self.calls = []
+        self.subtract = self
+
+    def outer(self, a, b, out=None):
+        self.calls.append((a.copy(), b.copy()))
+        return np.subtract.outer(a, b, out=out)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestSecularAberth:
+    """The solver evaluates only R in extended precision and iterates only
+    the roots that have not settled."""
+
+    @pytest.mark.parametrize("d", [20, 40])
+    def test_matches_60_digit_critical_points(self, d):
+        gen = np.random.default_rng(500 + d)
+        centres, weights = _signed_centres(gen, d)
+        assert (weights < 0).any() and (weights > 1).any()
+        got = critical_points(_from_weights(centres, weights)).points
+        repeated = [c for c, w in zip(centres, weights) for _ in range(w - 1)]
+        want = repeated + _secular_roots_60_digits(centres, weights)
+        spread = float(np.abs(centres - centres.mean()).max())
+        assert match_multisets(got, want, 1e-13 * spread)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, rational._REFINE_DTYPE])
+    def test_settled_roots_retire_unchanged(self, monkeypatch, dtype):
+        gen = np.random.default_rng(31)
+        centres, weights = _signed_centres(gen, 20)
+        exact = np.asarray(
+            critical_points(_from_weights(centres, weights)).points[-19:])
+        # starts 1e-14 to 1e-2 off, so that the roots settle sweeps apart
+        z0 = exact + np.logspace(-14, -2, 19) * np.exp(2j * gen.random(19))
+        spy = _SubtractSpy()
+        monkeypatch.setattr(rational, "np", spy)
+        got = rational._secular_aberth(z0, centres, weights.astype(complex),
+                                       dtype, rational.ROOT_TOL)
+        monkeypatch.undo()
+        assert np.abs(got - exact).max() <= 1e-12
+        # each sweep's root-root call gets (unsettled roots, all roots)
+        sweeps = [call for call in spy.calls if len(call[1]) == 19]
+        final = got.astype(np.complex128)
+        live = [np.isin(roots, rows) for rows, roots in sweeps]
+        assert live[0].all() and 1 < len(sweeps) <= 200
+        assert any(0 < m.sum() < 19 for m in live)
+        for k in range(1, len(sweeps)):
+            assert not (live[k] & ~live[k - 1]).any()
+            # a root that sat out sweep k settled at some sweep j < k; it has
+            # kept that sweep's value, bitwise, to the end
+            out = ~live[k]
+            assert np.array_equal(sweeps[k][1][out], final[out])
+
+    def test_double_precision_finish_agrees(self, monkeypatch):
+        gen = np.random.default_rng(8)
+        for d in (5, 12, 20, 40):
+            centres, weights = _signed_centres(gen, d)
+            f = _from_weights(centres, weights)
+            wide = critical_points(f)
+            monkeypatch.setattr(rational, "_REFINE_DTYPE", np.complex128)
+            narrow = critical_points(f)
+            monkeypatch.undo()
+            spread = float(np.abs(centres - centres.mean()).max())
+            assert match_multisets(wide.points, narrow.points, 1e-12 * spread)
+            assert narrow.residual <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.complex128, rational._REFINE_DTYPE])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(1, math.inf)])
+    def test_non_finite_centres_raise_without_warnings(self, dtype, bad):
+        centres = np.append(np.arange(19.0), bad).astype(complex)
+        z0 = np.arange(19) + 0.5 + 0.1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence):
+                rational._secular_aberth(z0, centres, np.ones(20, complex),
+                                         dtype, rational.ROOT_TOL)
+
+
 class TestLogDerivative:
     def test_repeated_zero_rejected(self):
         with pytest.raises(MultiplicityViolation):
