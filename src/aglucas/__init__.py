@@ -27,10 +27,9 @@ from .errors import (AGLError, ContourBoundaryConflict, ContourNotFound,
 from .extremal import (AsymptoticRow, ProbeRow, SearchResult,
                        asymptotic_experiment, conjecture_probe,
                        required_epsilon, search_psi)
-from .rational import (CLUSTER_TOL, ROOT_TOL, Polynomial, RationalFunction,
-                       RootSet, critical_points, from_points, log_derivative,
-                       log_derivative_values, poly_derivative, poly_eval,
-                       poly_roots, rational_eval, rational_product)
+from .rational import (CLUSTER_TOL, ROOT_TOL, RationalFunction, RootSet,
+                       critical_points, from_points, log_derivative,
+                       log_derivative_values, poly_roots, rational_product)
 from .regions import (CONTOUR_TOL, MEMBERSHIP_TOL, ConvexPolygon,
                       ConvexRegion, Disk, OffsetContour, Segment, centroid,
                       convex_hull_region, diameter, distance, distances,
@@ -42,24 +41,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AGLError", "AGLReport", "AsymptoticRow", "BoundEntry", "BoundReport",
-    "CLUSTER_TOL", "CONTOUR_TOL", "ContourBoundaryConflict",
-    "ContourNotFound", "ConvexPolygon", "ConvexRegion", "Disk",
-    "ExclusionBall", "ExclusionSet", "HypothesisUnmet",
-    "InsufficientCriticalPoints", "MEMBERSHIP_TOL", "MarginNonPositive",
-    "MultiplicityViolation", "NonConvergence", "NonIntegerWinding",
-    "OffsetContour", "Polynomial", "ProbeRow", "ROOT_TOL",
+    "CLUSTER_TOL", "CONTOUR_TOL", "ContourBoundaryConflict", "ContourNotFound",
+    "ConvexPolygon", "ConvexRegion", "Disk", "ExclusionBall", "ExclusionSet",
+    "HypothesisUnmet", "InsufficientCriticalPoints", "MEMBERSHIP_TOL",
+    "MarginNonPositive", "MultiplicityViolation", "NonConvergence",
+    "NonIntegerWinding", "OffsetContour", "ProbeRow", "ROOT_TOL",
     "RationalFunction", "RootSet", "RoucheCertificate", "SampleAtSingularity",
-    "Scene", "SearchResult", "Segment", "agl_report",
-    "asymptotic_experiment", "bound_report", "bound_table",
-    "bound_table_csv", "centroid", "certify", "conjecture_probe",
-    "convex_hull_region", "count_in", "critical_points", "diameter",
-    "distance", "distances", "eps_threshold_disk", "eps_threshold_general",
-    "exclusion_set", "find_contour", "from_points", "in_neighborhood",
-    "log_derivative", "log_derivative_values", "offset_contour",
-    "perturb_to_simple", "poly_derivative", "poly_eval", "poly_roots",
-    "psi1_biernacki", "psi1_disk_bound", "psi1_kakeya", "psi1_marden",
-    "ragl_disk_holds", "ragl_general_holds", "random_instance",
-    "rational_eval", "rational_product", "render_svg", "required_epsilon",
-    "rouche_margin", "sample_point", "scale_region", "search_psi",
-    "split_instance", "winding_count",
+    "Scene", "SearchResult", "Segment", "agl_report", "asymptotic_experiment",
+    "bound_report", "bound_table", "bound_table_csv", "centroid", "certify",
+    "conjecture_probe", "convex_hull_region", "count_in", "critical_points",
+    "diameter", "distance", "distances", "eps_threshold_disk",
+    "eps_threshold_general", "exclusion_set", "find_contour", "from_points",
+    "in_neighborhood", "log_derivative", "log_derivative_values",
+    "offset_contour", "perturb_to_simple", "poly_roots", "psi1_biernacki",
+    "psi1_disk_bound", "psi1_kakeya", "psi1_marden", "ragl_disk_holds",
+    "ragl_general_holds", "random_instance", "rational_product", "render_svg",
+    "required_epsilon", "rouche_margin", "sample_point", "scale_region",
+    "search_psi", "split_instance", "winding_count",
 ]

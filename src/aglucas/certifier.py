@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ContourBoundaryConflict, ContourNotFound, HypothesisUnmet,
-                     MarginNonPositive, NonIntegerWinding, SampleAtSingularity)
+                     MarginNonPositive, MultiplicityViolation,
+                     NonIntegerWinding, SampleAtSingularity)
 from .rational import CLUSTER_TOL, RationalFunction, _crowded, _reduced, \
     log_derivative_field
 # distance is unused here but stays a module global: perfbench wraps it by name
@@ -83,13 +84,15 @@ def split_instance(f: RationalFunction, region: ConvexRegion,
             RationalFunction(outside, f.poles, f.scale))
 
 
-def perturb_to_simple(f: RationalFunction, delta: float = 1e-7, seed: int = 0,
-                      cluster_tol: float = CLUSTER_TOL) -> RationalFunction:
+def perturb_to_simple(f: RationalFunction, delta: float = 1e-7,
+                      seed: int = 0) -> RationalFunction:
     """Displace coincident zeros/poles by independent offsets of magnitude at
     most delta so all points become pairwise distinct.  Already-simple input
-    is returned unchanged; the result is deterministic for a fixed seed."""
+    is returned unchanged; the result is deterministic for a fixed seed.
+    Raises MultiplicityViolation when 100 draws leave two points within
+    CLUSTER_TOL."""
     pts = np.asarray(f.zeros + f.poles, dtype=np.complex128)
-    crowded = _crowded(pts, cluster_tol)
+    crowded = _crowded(pts, CLUSTER_TOL)
     if not crowded.any():
         return f
     rng = np.random.default_rng(seed)
@@ -101,11 +104,12 @@ def perturb_to_simple(f: RationalFunction, delta: float = 1e-7, seed: int = 0,
         moved = pts.copy()
         moved[crowded] += (delta * np.sqrt(u[:, 0])
                            * (np.cos(th) + 1j * np.sin(th)))
-        if not _crowded(moved, cluster_tol).any():
+        if not _crowded(moved, CLUSTER_TOL).any():
             nz = len(f.zeros)
             return RationalFunction(tuple(moved[:nz].tolist()),
                                     tuple(moved[nz:].tolist()), f.scale)
-    raise RuntimeError("could not separate coincident points; raise delta")
+    raise MultiplicityViolation(
+        "could not separate coincident points; raise delta")
 
 
 def exclusion_set(remainder: RationalFunction, eps: float,
@@ -149,25 +153,24 @@ def find_contour(region: ConvexRegion, eps: float, excl: ExclusionSet,
         "no constant-offset contour clears the exclusion balls")
 
 
-def _field(f: RationalFunction, samples: np.ndarray, cluster_tol: float):
+def _field(f: RationalFunction, samples: np.ndarray):
     """f'/f and its slope on the samples; raises SampleAtSingularity when a
-    sample lies within cluster_tol of a zero or pole of f."""
+    sample lies within CLUSTER_TOL of a zero or pole of f."""
     value, slope, nearest = log_derivative_field(f, samples)
-    if nearest <= cluster_tol:
+    if nearest <= CLUSTER_TOL:
         raise SampleAtSingularity(f"sample {nearest:.1e} from a zero/pole")
     return value, slope
 
 
 def rouche_margin(inside: RationalFunction, remainder: RationalFunction,
-                  contour: OffsetContour,
-                  cluster_tol: float = CLUSTER_TOL) -> float:
+                  contour: OffsetContour) -> float:
     """Minimum over the contour samples of |inside'/inside| - |rem'/rem|,
     both logarithmic derivatives taken from log_derivative_field.
 
     Positive margin is the Rouche hypothesis for transferring zero counts.
     """
-    g, _ = _field(inside, contour.samples, cluster_tol)
-    h, _ = _field(remainder, contour.samples, cluster_tol)
+    g, _ = _field(inside, contour.samples)
+    h, _ = _field(remainder, contour.samples)
     return float(np.min(np.abs(g) - np.abs(h)))
 
 
@@ -184,22 +187,19 @@ def _winding_from_values(values: np.ndarray, samples: np.ndarray) -> int:
     return int(nearest)
 
 
-def winding_count(f: RationalFunction, contour: OffsetContour,
-                  cluster_tol: float = CLUSTER_TOL) -> int:
+def winding_count(f: RationalFunction, contour: OffsetContour) -> int:
     """Zeros minus poles of f enclosed by the contour, via the argument
     principle applied to f'/f along the sampled curve.
 
     Raises NonIntegerWinding when the sampling is too coarse to trust.
     """
-    value, _ = _field(f, contour.samples, cluster_tol)
+    value, _ = _field(f, contour.samples)
     return _winding_from_values(value, contour.samples)
 
 
 def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
-            min_samples: int = 512, margin_floor: float = MARGIN_FLOOR,
-            delta: float = 1e-7, seed: int = 0,
-            membership_tol: float = MEMBERSHIP_TOL,
-            contour_tol: float = CONTOUR_TOL) -> RoucheCertificate:
+            min_samples: int = 512, seed: int = 0,
+            membership_tol: float = MEMBERSHIP_TOL) -> RoucheCertificate:
     """Certify that f has at least k - 1 critical points in the closed
     eps-neighborhood of the region, without locating any critical point.
 
@@ -214,8 +214,11 @@ def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
     so critical_lower_bound = winding + zeros_poles_inside, and the enclosed
     face lies inside the eps-neighborhood by construction.
 
-    Raises MarginNonPositive, ContourNotFound or NonIntegerWinding when no
-    certificate can be produced; none of these disproves the property.
+    Raises HypothesisUnmet when fewer than k zeros lie in the region, and
+    MultiplicityViolation (coincident points that no perturbation
+    separates), ContourNotFound, MarginNonPositive, NonIntegerWinding,
+    SampleAtSingularity or ContourBoundaryConflict when no certificate can
+    be produced; none of these disproves the property.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -229,7 +232,7 @@ def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
     n = f.total_count
     combined = perturb_to_simple(
         RationalFunction(inside.zeros + remainder.zeros, remainder.poles,
-                         f.scale), delta=delta, seed=seed)
+                         f.scale), seed=seed)
     n_in = len(inside.zeros)
     inside = RationalFunction(combined.zeros[:n_in], (), 1.0)
     remainder = RationalFunction(combined.zeros[n_in:], combined.poles, f.scale)
@@ -240,10 +243,10 @@ def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
     while True:
         # G = g'/g, H = h'/h: the margin needs |G| - |H| and the winding of
         # F = G + H, the product's f'/f, integrates F'/F
-        g, dg = _field(inside, contour.samples, CLUSTER_TOL)
-        h, dh = _field(remainder, contour.samples, CLUSTER_TOL)
+        g, dg = _field(inside, contour.samples)
+        h, dh = _field(remainder, contour.samples)
         margin = min(margin, float(np.min(np.abs(g) - np.abs(h))))
-        if margin <= margin_floor:
+        if margin <= MARGIN_FLOOR:
             raise MarginNonPositive(
                 f"dominance margin {margin:.3e} is not safely positive "
                 f"on {len(contour.samples)} samples")
@@ -263,7 +266,7 @@ def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
     # product of inside and remainder cancels nothing: it is `combined`
     pts = np.asarray(combined.zeros + combined.poles, dtype=np.complex128)
     dist = distances(pts, region)
-    if bool(np.any(np.abs(dist - contour.offset_distance) <= contour_tol)):
+    if bool(np.any(np.abs(dist - contour.offset_distance) <= CONTOUR_TOL)):
         raise ContourBoundaryConflict("a zero/pole lies on the contour")
     zeros_poles_inside = int(np.count_nonzero(dist < contour.offset_distance))
     bound = winding + zeros_poles_inside

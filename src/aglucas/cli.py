@@ -17,8 +17,9 @@ from .certifier import (ContourBoundaryConflict, certify, exclusion_set,
                         split_instance)
 from .engine import agl_report
 from .errors import (AGLError, ContourNotFound, HypothesisUnmet,
-                     MarginNonPositive, NonIntegerWinding, SampleAtSingularity)
-from .rational import critical_points
+                     MarginNonPositive, MultiplicityViolation,
+                     NonIntegerWinding, SampleAtSingularity)
+from .rational import ROOT_TOL, critical_points
 from .regions import MEMBERSHIP_TOL, Disk
 
 
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", default=None, help="region JSON (inline or file)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--root-tol", type=float, default=None)
+    p.add_argument("--root-tol", type=float, default=ROOT_TOL)
     p.add_argument("--membership-tol", type=float, default=MEMBERSHIP_TOL)
     common(p, "json", seed=False)
 
@@ -187,7 +188,8 @@ def _cmd_certify(args) -> int:
                        min_samples=args.min_samples, seed=args.seed,
                        membership_tol=args.membership_tol)
     except (MarginNonPositive, ContourNotFound, NonIntegerWinding,
-            SampleAtSingularity, ContourBoundaryConflict) as exc:
+            SampleAtSingularity, ContourBoundaryConflict,
+            MultiplicityViolation) as exc:
         _emit(args, _dump(serialize.certificate_failure_json(
             f"{type(exc).__name__}: {exc}", args.eps, args.k)))
         return 1

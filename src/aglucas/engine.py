@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisUnmet
-from .rational import CLUSTER_TOL, RationalFunction, _reduced, \
+from .rational import CLUSTER_TOL, ROOT_TOL, RationalFunction, _reduced, \
     critical_points
 from .regions import (MEMBERSHIP_TOL, ConvexRegion, centroid, distances,
                       sample_point)
@@ -49,7 +49,7 @@ def count_in(points, region: ConvexRegion, eps: float,
 
 def agl_report(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
                membership_tol: float = MEMBERSHIP_TOL,
-               root_tol: float | None = None) -> AGLReport:
+               root_tol: float = ROOT_TOL) -> AGLReport:
     """Count critical points of f near the region and decide the property.
 
     f is read in lowest form: a zero within CLUSTER_TOL of a pole cancels
@@ -65,8 +65,7 @@ def agl_report(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
     if zeros_in < k:
         raise HypothesisUnmet(
             f"only {zeros_in} zeros in the region, need at least {k}")
-    kwargs = {} if root_tol is None else {"root_tol": root_tol}
-    crit = critical_points(f, **kwargs)
+    crit = critical_points(f, root_tol)
     if crit.points:
         dist = distances(np.asarray(crit.points, dtype=np.complex128), region)
     else:

@@ -18,8 +18,8 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .errors import InsufficientCriticalPoints, NonConvergence
 from .engine import agl_report, count_in, random_instance
-from .rational import _REFINE_DTYPE, Polynomial, RationalFunction, \
-    _companion_roots, critical_points, poly_roots
+from .rational import _REFINE_DTYPE, RationalFunction, _companion_roots, \
+    critical_points, poly_roots
 from .regions import ConvexRegion, Disk, centroid, diameter, distance, \
     distances, sample_point
 
@@ -138,7 +138,7 @@ class _ArcFamily:
 
     def zeros_at(self, t, const, spread):
         coeffs = self.coefficients(t, spread)
-        roots = np.asarray(poly_roots(Polynomial((const, *coeffs))).points)
+        roots = np.asarray(poly_roots((const, *coeffs)).points)
         roots = self._polish(t, const, spread, roots)
         return [self.region.center + self.direction * z for z in roots]
 
@@ -224,6 +224,8 @@ def search_psi(n: int, k: int, region: ConvexRegion, restarts: int = 50,
     """
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n")
+    if restarts < 1 or iters < 1:
+        raise ValueError("restarts and iters must be positive")
     rng = np.random.default_rng(seed)
     anchor = centroid(region)
     scale = max(diameter(region) / 2.0, 1e-3)

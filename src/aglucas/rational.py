@@ -1,10 +1,9 @@
 """Complex polynomials and rational functions represented by their roots.
 
 A rational function is stored as its multisets of zeros and poles (repeated
-entries encode multiplicity) together with a leading coefficient.  Point
-configurations are the primary objects here; coefficient vectors are expanded
-on demand, and the critical-point machinery works from the partial-fraction
-form of the logarithmic derivative so that clustered configurations stay well
+entries encode multiplicity) together with a leading coefficient.  The
+critical-point machinery works from the partial-fraction form of the
+logarithmic derivative so that clustered configurations stay well
 conditioned.
 """
 
@@ -25,42 +24,6 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _BLOCK_TERMS = 2 ** 15  # (point, sample) terms per log_derivative_field block
 _EIG_MAX = 16        # most centres whose secular roots start as eigenvalues
 _SCREEN_MIN = 13     # fewest points for which _cluster's array test pays
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial, coefficients in ascending degree order.
-
-    Exactly-zero leading coefficients are stripped on construction, so the
-    leading coefficient is nonzero unless the polynomial is identically zero
-    (represented as the single coefficient 0).
-    """
-
-    coefficients: tuple[complex, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coefficients)
-        if not coeffs:
-            coeffs = (0j,)
-        end = len(coeffs)
-        while end > 1 and coeffs[end - 1] == 0:
-            end -= 1
-        object.__setattr__(self, "coefficients", coeffs[:end])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return len(self.coefficients) == 1 and self.coefficients[0] == 0
-
-    @classmethod
-    def from_roots(cls, roots, scale: complex = 1.0) -> "Polynomial":
-        coeffs = np.array([complex(scale)], dtype=np.complex128)
-        for r in roots:
-            coeffs = np.convolve(coeffs, np.array([-complex(r), 1.0 + 0j]))
-        return cls(tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -87,12 +50,6 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return not self.zeros and not self.poles
 
-    def numerator(self) -> Polynomial:
-        return Polynomial.from_roots(self.zeros, self.scale)
-
-    def denominator(self) -> Polynomial:
-        return Polynomial.from_roots(self.poles, 1.0)
-
 
 @dataclass(frozen=True)
 class RootSet:
@@ -102,41 +59,33 @@ class RootSet:
     residual: float
 
 
-def poly_eval(p: Polynomial, z: complex) -> complex:
-    """Evaluate by Horner's scheme, highest degree first."""
-    acc = 0j
-    for c in reversed(p.coefficients):
-        acc = acc * z + c
-    return acc
+def poly_roots(coefficients) -> RootSet:
+    """All roots, with multiplicity, of the polynomial with the given
+    ascending coefficients, as companion-matrix eigenvalues.
 
-
-def poly_derivative(p: Polynomial) -> Polynomial:
-    c = p.coefficients
-    if len(c) == 1:
-        return Polynomial((0j,))
-    return Polynomial(tuple(i * c[i] for i in range(1, len(c))))
-
-
-def poly_roots(p: Polynomial) -> RootSet:
-    """All deg(p) roots with multiplicity, as companion-matrix eigenvalues.
-
-    Exact zeros at the origin are split off first; the residual is the
-    largest |p| at the returned roots.  Raises NonConvergence if the
-    eigenvalue solve fails: non-finite coefficients or companion entries,
-    or no QR convergence.
+    Exactly-zero leading coefficients are stripped and exact zeros at the
+    origin split off first; the residual is the largest |p| at the returned
+    roots, by Horner's scheme.  Raises ValueError for the zero polynomial
+    and NonConvergence if the eigenvalue solve fails: non-finite
+    coefficients or companion entries, or no QR convergence.
     """
-    if p.is_zero:
+    coeffs = [complex(c) for c in coefficients]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
         raise ValueError("the zero polynomial has no root set")
-    coeffs = p.coefficients
-    at_origin = 0
-    while at_origin < len(coeffs) - 1 and coeffs[at_origin] == 0:
-        at_origin += 1
+    at_origin = next(i for i, c in enumerate(coeffs) if c != 0)
     if at_origin == len(coeffs) - 1:
         return RootSet((0j,) * at_origin, 0.0)
     roots = _companion_roots(
         np.array([coeffs[at_origin:]], dtype=np.complex128))[0].tolist()
-    return RootSet((0j,) * at_origin + tuple(roots),
-                   max((abs(poly_eval(p, z)) for z in roots), default=0.0))
+    residual = 0.0
+    for z in roots:
+        acc = 0j
+        for c in reversed(coeffs):
+            acc = acc * z + c
+        residual = max(residual, abs(acc))
+    return RootSet((0j,) * at_origin + tuple(roots), residual)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -268,8 +217,8 @@ def _secular_aberth(z: np.ndarray, centers: np.ndarray, weights: np.ndarray,
         "iterations")
 
 
-def critical_points(f: RationalFunction, root_tol: float = ROOT_TOL,
-                    cluster_tol: float = CLUSTER_TOL) -> RootSet:
+def critical_points(f: RationalFunction,
+                    root_tol: float = ROOT_TOL) -> RootSet:
     """All finite critical points of f (zeros of the numerator of f' in
     lowest form), with multiplicity.
 
@@ -278,11 +227,11 @@ def critical_points(f: RationalFunction, root_tol: float = ROOT_TOL,
     of the secular equation sum_w c_w / (z - w) = 0 over the distinct zeros
     and poles, with c_w the signed multiplicity.  The residual is the largest
     relative secular residual |sum c_w/(z - w)| / sum |c_w/(z - w)| at them.
-    A zero within cluster_tol of a pole cancels against it first.
+    A zero within CLUSTER_TOL of a pole cancels against it first.
     """
-    f = _reduced(f, cluster_tol)
-    zc, zm = _cluster(f.zeros, cluster_tol)
-    pc, pm = _cluster(f.poles, cluster_tol)
+    f = _reduced(f, CLUSTER_TOL)
+    zc, zm = _cluster(f.zeros, CLUSTER_TOL)
+    pc, pm = _cluster(f.poles, CLUSTER_TOL)
     known: list[complex] = []
     for c, m in zip(zc, zm):
         known.extend([c] * (m - 1))
@@ -374,8 +323,7 @@ def _partial_fraction_roots(centers, weights, root_tol):
     return tuple(z.tolist()), lead, float(residual.max())
 
 
-def log_derivative(f: RationalFunction, root_tol: float = ROOT_TOL,
-                   cluster_tol: float = CLUSTER_TOL) -> RationalFunction:
+def log_derivative(f: RationalFunction) -> RationalFunction:
     """f'/f as a rational function, requiring all zeros and poles simple.
 
     The result has the critical points of f as zeros and the zeros and poles
@@ -385,24 +333,24 @@ def log_derivative(f: RationalFunction, root_tol: float = ROOT_TOL,
     if not pts:
         raise ValueError("a constant has identically zero logarithmic derivative")
     centers = np.asarray(pts, dtype=np.complex128)
-    if _crowded(centers, cluster_tol).any():
+    if _crowded(centers, CLUSTER_TOL).any():
         raise MultiplicityViolation("zeros and poles must all be simple")
     weights = np.array([1.0] * len(f.zeros) + [-1.0] * len(f.poles),
                        dtype=np.complex128)
-    roots, lead, _ = _partial_fraction_roots(centers, weights, root_tol)
+    roots, lead, _ = _partial_fraction_roots(centers, weights, ROOT_TOL)
     return RationalFunction(roots, pts, lead)
 
 
-def rational_product(a: RationalFunction, b: RationalFunction,
-                     cluster_tol: float = CLUSTER_TOL) -> RationalFunction:
+def rational_product(a: RationalFunction,
+                     b: RationalFunction) -> RationalFunction:
     """Product of two rational functions, reduced to lowest form."""
     return _reduced(RationalFunction(a.zeros + b.zeros, a.poles + b.poles,
-                                     a.scale * b.scale), cluster_tol)
+                                     a.scale * b.scale), CLUSTER_TOL)
 
 
-def from_points(zeros, poles, cluster_tol: float = CLUSTER_TOL) -> RationalFunction:
+def from_points(zeros, poles) -> RationalFunction:
     """Monic rational function with the given zeros and poles, reduced."""
-    return _reduced(RationalFunction(tuple(zeros), tuple(poles)), cluster_tol)
+    return _reduced(RationalFunction(tuple(zeros), tuple(poles)), CLUSTER_TOL)
 
 
 def _reduced(f: RationalFunction, tol: float) -> RationalFunction:
@@ -425,19 +373,6 @@ def _reduced(f: RationalFunction, tol: float) -> RationalFunction:
         else:
             kept_zeros.append(z)
     return RationalFunction(tuple(kept_zeros), tuple(remaining), f.scale)
-
-
-def rational_eval(f: RationalFunction, z):
-    """Evaluate f at z (scalar or array) from its product form."""
-    arr = np.asarray(z, dtype=np.complex128)
-    num = np.full_like(arr, f.scale)
-    for a in f.zeros:
-        num = num * (arr - a)
-    den = np.ones_like(arr)
-    for b in f.poles:
-        den = den * (arr - b)
-    out = num / den
-    return complex(out) if np.isscalar(z) or arr.ndim == 0 else out
 
 
 def log_derivative_values(f: RationalFunction, z):

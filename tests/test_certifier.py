@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from aglucas import (AGLError, ContourNotFound, Disk, ExclusionBall,
-                     ExclusionSet, HypothesisUnmet, RationalFunction,
-                     SampleAtSingularity, Segment, certify, count_in,
-                     critical_points, eps_threshold_general, exclusion_set,
-                     find_contour, from_points, log_derivative,
-                     offset_contour, perturb_to_simple, random_instance,
-                     rational_product, rouche_margin, split_instance,
-                     winding_count)
+                     ExclusionSet, HypothesisUnmet, MultiplicityViolation,
+                     RationalFunction, SampleAtSingularity, Segment, certify,
+                     count_in, critical_points, eps_threshold_general,
+                     exclusion_set, find_contour, from_points,
+                     log_derivative, offset_contour, perturb_to_simple,
+                     random_instance, rational_product, rouche_margin,
+                     split_instance, winding_count)
 from aglucas import certifier
 from conftest import match_multisets
 
@@ -77,6 +77,12 @@ class TestPerturbToSimple:
         f = RationalFunction((1j,) * 5, (), 1)
         out = perturb_to_simple(f, delta=1e-7, seed=3)
         assert all(abs(z - 1j) <= 1e-7 for z in out.zeros)
+
+    def test_unseparable_points_raise_typed_failure(self):
+        # within delta = 1e-12 no draw leaves two points CLUSTER_TOL apart
+        f = RationalFunction((0.5,) * 3, (), 1)
+        with pytest.raises(MultiplicityViolation):
+            perturb_to_simple(f, delta=1e-12)
 
     # perturb_to_simple(f, seed=seed) as recorded from the per-point loops
     # that drew each crowded point's offsets with two scalar rng calls

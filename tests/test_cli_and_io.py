@@ -8,9 +8,10 @@ import pytest
 
 import aglucas
 
-from aglucas import (ConvexPolygon, Disk, ExclusionBall, ExclusionSet,
-                     RationalFunction, Scene, Segment, offset_contour,
-                     render_svg)
+from aglucas import (ROOT_TOL, ConvexPolygon, Disk, ExclusionBall,
+                     ExclusionSet, RationalFunction, Scene, Segment,
+                     offset_contour, render_svg)
+from aglucas import engine
 from aglucas.cli import run
 from aglucas.serialize import (function_from_json, function_to_json,
                                region_from_json, region_to_json)
@@ -105,6 +106,23 @@ class TestCheckCommand:
         assert code == 2
         assert "only 1 zeros" in capsys.readouterr().err
 
+    def test_root_tol_reaches_critical_points(self, instance_file,
+                                              monkeypatch, capsys):
+        seen = []
+        solve = engine.critical_points
+
+        def recorder(f, root_tol):
+            seen.append(root_tol)
+            return solve(f, root_tol)
+
+        monkeypatch.setattr(engine, "critical_points", recorder)
+        path = instance_file(dict(CUBIC, region=SEGMENT))
+        args = ["check", "--instance", path, "--k", "2", "--eps", "0.5"]
+        assert run(args) == 0
+        assert run(args + ["--root-tol", "1e-6"]) == 0
+        capsys.readouterr()
+        assert seen == [ROOT_TOL, 1e-6]
+
 
 class TestBoundsCommand:
     def test_csv_row(self, capsys):
@@ -184,6 +202,18 @@ class TestCertifyCommand:
         assert out["valid"] is False
         assert out["failure_reason"]
 
+    def test_unseparable_points_exit_one(self, instance_file, capsys):
+        # 600 coincident zeros: no draw within delta = 1e-7 separates them
+        payload = {"zeros": [[0.1, 0]] * 600, "poles": [], "scale": [1, 0],
+                   "region": {"disk": {"center": [0, 0], "radius": 1}}}
+        path = instance_file(payload)
+        code = run(["certify", "--instance", path, "--k", "600",
+                    "--eps", "0.5"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["valid"] is False
+        assert out["failure_reason"].startswith("MultiplicityViolation")
+
 
 class TestEntryPoints:
     def test_membership_tol_only_where_honoured(self):
@@ -205,6 +235,15 @@ class TestEntryPoints:
         assert run([command, *args]) in (0, 1)
         assert run([command, *args, *flag]) == 2
 
+    def test_exports_resolve(self):
+        assert all(hasattr(aglucas, name) for name in aglucas.__all__)
+        deleted = {"Polynomial", "poly_eval", "poly_derivative",
+                   "rational_eval"}
+        assert not deleted & set(aglucas.__all__)
+        assert not any(hasattr(aglucas, name) for name in deleted)
+        assert not hasattr(RationalFunction, "numerator")
+        assert not hasattr(RationalFunction, "denominator")
+
     def test_python_dash_m_matches_run(self, instance_file, capsys):
         path = instance_file(dict(CUBIC, region=SEGMENT))
         args = ["check", "--instance", path, "--k", "2", "--eps", "0.5"]
@@ -222,6 +261,11 @@ class TestEntryPoints:
 
 
 class TestSearchCommand:
+    @pytest.mark.parametrize("flag", [["--restarts", "0"], ["--iters", "0"]])
+    def test_nonpositive_budget_exit_two(self, flag, capsys):
+        assert run(["search", "--n", "4", "--k", "2", *flag]) == 2
+        assert "must be positive" in capsys.readouterr().err
+
     def test_small_search_json(self, capsys):
         code = run(["search", "--n", "3", "--k", "2",
                     "--restarts", "6", "--iters", "150", "--seed", "3"])

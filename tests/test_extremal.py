@@ -32,6 +32,12 @@ class TestSearchSmall:
         res = search_psi(4, 4, UNIT_DISK, restarts=2, iters=50, seed=0)
         assert res.best_required_epsilon == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("restarts, iters", [(0, 50), (-1, 50),
+                                                 (2, 0), (2, -5)])
+    def test_nonpositive_budget_rejected(self, restarts, iters):
+        with pytest.raises(ValueError):
+            search_psi(4, 2, UNIT_DISK, restarts=restarts, iters=iters)
+
     def test_witness_reproduces_value(self):
         res = search_psi(3, 2, UNIT_DISK, restarts=8, iters=200, seed=5)
         replay = required_epsilon(res.best_configuration, UNIT_DISK, 2)
