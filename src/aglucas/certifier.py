@@ -222,8 +222,8 @@ def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     f = _reduced(f, CLUSTER_TOL)
     inside, remainder = split_instance(f, region, membership_tol)
     if len(inside.zeros) < k:

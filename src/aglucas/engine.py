@@ -17,8 +17,8 @@ import numpy as np
 from .errors import HypothesisUnmet
 from .rational import CLUSTER_TOL, ROOT_TOL, RationalFunction, _reduced, \
     critical_points
-from .regions import (MEMBERSHIP_TOL, ConvexRegion, centroid, distances,
-                      sample_point)
+from .regions import (MEMBERSHIP_TOL, ConvexRegion, _check_eps, centroid,
+                      distances, sample_point)
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,7 @@ def count_in(points, region: ConvexRegion, eps: float,
              membership_tol: float = MEMBERSHIP_TOL) -> int:
     """Number of points (with multiplicity) within the closed
     eps-neighborhood of the region."""
+    _check_eps(eps)
     pts = tuple(points)
     if not pts:
         return 0
@@ -56,10 +57,11 @@ def agl_report(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
     against it.  Requires at least k zeros of f in the region.
     required_epsilon is the (k-1)-th smallest critical-point distance (0 when
     k <= 1, inf when f has fewer than k - 1 critical points), so holds flips
-    exactly there.
+    exactly there.  A negative or nan eps raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    _check_eps(eps)
     f = _reduced(f, CLUSTER_TOL)
     zeros_in = count_in(f.zeros, region, 0.0, membership_tol)
     if zeros_in < k:

@@ -24,6 +24,7 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _BLOCK_TERMS = 2 ** 15  # (point, sample) terms per log_derivative_field block
 _EIG_MAX = 16        # most centres whose secular roots start as eigenvalues
 _SCREEN_MIN = 13     # fewest points for which _cluster's array test pays
+_ROOT_TOL_MAX = 1e-4  # coarser tolerances settle roots far off their values
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,11 @@ def critical_points(f: RationalFunction,
     and poles, with c_w the signed multiplicity.  The residual is the largest
     relative secular residual |sum c_w/(z - w)| / sum |c_w/(z - w)| at them.
     A zero within CLUSTER_TOL of a pole cancels against it first.
+    root_tol must lie in (0, 1e-4]; ValueError otherwise.
     """
+    if not 0.0 < root_tol <= _ROOT_TOL_MAX:
+        raise ValueError(f"root_tol must lie in (0, {_ROOT_TOL_MAX:g}], "
+                         f"got {root_tol!r}")
     f = _reduced(f, CLUSTER_TOL)
     zc, zm = _cluster(f.zeros, CLUSTER_TOL)
     pc, pm = _cluster(f.poles, CLUSTER_TOL)

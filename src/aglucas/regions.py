@@ -194,11 +194,16 @@ def distances(zs, region: ConvexRegion) -> np.ndarray:
     return np.maximum(d - radius, 0.0).reshape(arr.shape)
 
 
+def _check_eps(eps: float) -> None:
+    """ValueError unless eps is nonnegative; nan is not."""
+    if not eps >= 0:
+        raise ValueError(f"eps must be nonnegative, got {eps!r}")
+
+
 def in_neighborhood(z: complex, region: ConvexRegion, eps: float,
                     membership_tol: float = MEMBERSHIP_TOL) -> bool:
     """Closed eps-neighborhood membership; eps = 0 tests the region itself."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _check_eps(eps)
     return bool(distances(z, region) <= eps + membership_tol)
 
 

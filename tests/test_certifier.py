@@ -279,6 +279,12 @@ def abs_dist(z):
 
 
 class TestCertify:
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -5.0])
+    def test_rejects_non_finite_and_nonpositive_eps(self, eps):
+        f = from_points([0.3, -0.5, 0.2j], [])
+        with pytest.raises(ValueError, match="eps"):
+            certify(f, UNIT_DISK, eps, 3)
+
     def test_classical_polynomial(self):
         f = from_points([0.3, -0.5, 0.2j, -0.1 - 0.4j, 0.6], [])
         cert = certify(f, UNIT_DISK, 0.5, 5)

@@ -120,8 +120,25 @@ class TestCheckCommand:
         args = ["check", "--instance", path, "--k", "2", "--eps", "0.5"]
         assert run(args) == 0
         assert run(args + ["--root-tol", "1e-6"]) == 0
+        assert run(args + ["--root-tol", "1e-4"]) == 0
         capsys.readouterr()
-        assert seen == [ROOT_TOL, 1e-6]
+        assert seen == [ROOT_TOL, 1e-6, 1e-4]
+
+    @pytest.mark.parametrize("root_tol", ["nan", "inf", "0", "-1", "1e-3"])
+    def test_root_tol_out_of_range_exit_two(self, instance_file, root_tol,
+                                            capsys):
+        path = instance_file(dict(CUBIC, region=SEGMENT))
+        code = run(["check", "--instance", path, "--k", "2", "--eps", "0.5",
+                    "--root-tol", root_tol])
+        assert code == 2
+        assert "root_tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["nan", "-5"])
+    def test_nan_or_negative_eps_exit_two(self, instance_file, eps, capsys):
+        path = instance_file(dict(CUBIC, region=SEGMENT))
+        code = run(["check", "--instance", path, "--k", "2", "--eps", eps])
+        assert code == 2
+        assert "eps must be nonnegative" in capsys.readouterr().err
 
 
 class TestBoundsCommand:
@@ -186,6 +203,14 @@ class TestCertifyCommand:
                     "--eps", "0.05"])
         assert code == 2
         assert "only 1 zeros" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-5"])
+    def test_non_finite_or_negative_eps_exit_two(self, instance_file, eps,
+                                                 capsys):
+        path = instance_file(dict(CUBIC, region=SEGMENT))
+        code = run(["certify", "--instance", path, "--k", "2", "--eps", eps])
+        assert code == 2
+        assert "eps must be positive and finite" in capsys.readouterr().err
 
     def test_uncertifiable_exit_one(self, instance_file, capsys):
         # heavy outside pole cloud breaks the margin at this eps

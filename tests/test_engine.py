@@ -24,8 +24,26 @@ class TestCountIn:
     def test_multiplicity_counts(self):
         assert count_in([0.5, 0.5, 0.5], UNIT_DISK, 0.0) == 3
 
+    @pytest.mark.parametrize("eps", [math.nan, -5.0, -1e-300])
+    def test_rejects_nan_and_negative_eps(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            count_in([0, 2], UNIT_DISK, eps)
+        with pytest.raises(ValueError, match="eps"):
+            count_in([], UNIT_DISK, eps)
+
 
 class TestAGLReport:
+    @pytest.mark.parametrize("eps", [math.nan, -5.0, -1e-300])
+    def test_rejects_nan_and_negative_eps(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            agl_report(from_points([1, -1], []), Segment(-1, 1), eps, 2)
+
+    def test_infinite_eps_counts_every_critical_point(self):
+        rep = agl_report(from_points([0, 1, 1j], []), UNIT_SEGMENT,
+                         math.inf, 2)
+        assert rep.holds
+        assert rep.critical_in_neighborhood == 2
+
     def test_classical_case(self):
         f = from_points([1, -1], [])
         rep = agl_report(f, Segment(-1, 1), 0.0, 2)

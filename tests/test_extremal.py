@@ -9,6 +9,7 @@ from aglucas import (Disk, HypothesisUnmet, InsufficientCriticalPoints,
                      psi1_biernacki, psi1_disk_bound, psi1_kakeya,
                      psi1_marden, random_instance, required_epsilon,
                      search_psi)
+from aglucas import extremal
 from aglucas.extremal import _ArcFamily
 from aglucas.rational import _REFINE_DTYPE
 
@@ -37,6 +38,20 @@ class TestSearchSmall:
     def test_nonpositive_budget_rejected(self, restarts, iters):
         with pytest.raises(ValueError):
             search_psi(4, 2, UNIT_DISK, restarts=restarts, iters=iters)
+
+    def test_optimisers_called_through_module_globals(self, monkeypatch):
+        # the benchmark's tracer times the optimisers by patching these names
+        plain = search_psi(3, 2, UNIT_DISK, restarts=2, iters=40, seed=1)
+        calls = []
+        for name in ("minimize", "minimize_scalar"):
+            def recorder(*args, _real=getattr(extremal, name), _name=name,
+                         **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(extremal, name, recorder)
+        recorded = search_psi(3, 2, UNIT_DISK, restarts=2, iters=40, seed=1)
+        assert {"minimize", "minimize_scalar"} <= set(calls)
+        assert recorded == plain
 
     def test_witness_reproduces_value(self):
         res = search_psi(3, 2, UNIT_DISK, restarts=8, iters=200, seed=5)

@@ -141,6 +141,20 @@ class TestCompanionRoots:
 
 
 class TestCriticalPoints:
+    @pytest.mark.parametrize("root_tol", [math.nan, math.inf, 0.0, -1.0,
+                                          1e-3])
+    def test_rejects_root_tol_outside_range(self, root_tol):
+        # at root_tol = 1e-2 roots settled with relative residual up to 0.88
+        with pytest.raises(ValueError, match="root_tol"):
+            critical_points(from_points([1, -1], []), root_tol)
+
+    def test_coarsest_root_tol_still_accurate(self):
+        gen = np.random.default_rng(0)
+        for n in (8, 20, 60):
+            zeros = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+            assert critical_points(from_points(zeros, []),
+                                   1e-4).residual < 1e-12
+
     def test_symmetric_quadratic(self):
         f = from_points([1, -1], [])
         assert critical_points(f).points == (0j,)

@@ -152,6 +152,11 @@ class TestNeighborhood:
     def test_beyond_tolerance(self):
         assert not in_neighborhood(1.5 + 10 * MEMBERSHIP_TOL, UNIT_DISK, 0.5)
 
+    @pytest.mark.parametrize("eps", [math.nan, -5.0, -1e-300])
+    def test_rejects_nan_and_negative_eps(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            in_neighborhood(0.5, UNIT_DISK, eps)
+
     def test_member_always_inside(self, rng):
         for _ in range(20):
             z = sample_point(UNIT_SQUARE, rng)
