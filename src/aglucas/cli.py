@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bounds as bounds_mod
@@ -20,7 +21,7 @@ from .errors import (AGLError, ContourNotFound, HypothesisUnmet,
                      MarginNonPositive, MultiplicityViolation,
                      NonIntegerWinding, SampleAtSingularity)
 from .rational import ROOT_TOL, critical_points
-from .regions import MEMBERSHIP_TOL, Disk
+from .regions import MEMBERSHIP_TOL, Disk, _check_eps
 
 
 def _read_json(path: str):
@@ -238,6 +239,9 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    _check_eps(args.eps)
+    if math.isinf(args.eps):
+        raise ValueError("eps must be finite to draw its neighborhood")
     f, region = _load_instance(args)
     crit = critical_points(f)
     contour = None

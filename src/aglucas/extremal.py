@@ -6,7 +6,11 @@ in the closed eps-neighborhood: it maximizes the required eps of concrete
 zero configurations with a derivative-free simplex search from random
 restarts.  The other experiments probe the asymptotic behavior (fraction of
 critical points captured as the degree grows) and the fixed-eps regime.
-Only the search needs scipy, which it imports on its first call.
+
+The simplex search is ``simplex.minimize``, which takes scipy's Nelder-Mead
+steps but asks for several points at once, and the objective solves such a
+stack of configurations in one secular solve.  scipy serves only the Brent
+search of the disk restarts, imported on its first call.
 """
 
 from __future__ import annotations
@@ -18,24 +22,20 @@ import numpy as np
 
 from .errors import InsufficientCriticalPoints, NonConvergence
 from .engine import agl_report, count_in, random_instance
-from .rational import _REFINE_DTYPE, RationalFunction, _companion_roots, \
-    critical_points, poly_roots
+from .rational import _REFINE_DTYPE, CLUSTER_TOL, ROOT_TOL, RationalFunction, \
+    _companion_roots, _crowded, _partial_fraction_roots, critical_points, \
+    poly_roots
 from .regions import ConvexRegion, Disk, centroid, diameter, distance, \
     distances, sample_point
+from .simplex import minimize
 
 _SEARCH_BOX_HALF_WIDTH = 10.0
 
 
 # scipy.optimize costs about half a second and 48 MB to import, which every
-# verdict and certificate would pay through ``import aglucas``.  These load
-# it on the search's first call; the search calls them as module globals,
-# which perfbench wraps by name.
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use."""
-    from scipy import optimize
-    return optimize.minimize(*args, **kwargs)
-
-
+# verdict and certificate would pay through ``import aglucas``.  This loads
+# it on the search's first call.  The search calls it and ``minimize`` as
+# module globals, which perfbench wraps by name.
 def minimize_scalar(*args, **kwargs):
     """scipy.optimize.minimize_scalar, imported on first use."""
     from scipy import optimize
@@ -85,21 +85,53 @@ def required_epsilon(f: RationalFunction, region: ConvexRegion, k: int) -> float
 
 
 def _decode(x: np.ndarray, k: int, region: ConvexRegion,
-            box_center: complex, half_width: float) -> list[complex]:
-    """Zeros from search coordinates: the first k moved to their closest
-    region points, the rest clamped into the square box."""
+            box_center: complex, half_width: float) -> np.ndarray:
+    """Zeros from search coordinates, a row of zeros for each row of x: the
+    first k moved to their closest region points, the rest clamped into the
+    square box."""
     zs = np.ascontiguousarray(x, dtype=np.float64).view(np.complex128)
     lo = box_center - complex(half_width, half_width)
     hi = box_center + complex(half_width, half_width)
-    return distance(zs[:k], region)[1].tolist() + [
-        complex(min(max(z.real, lo.real), hi.real),
-                min(max(z.imag, lo.imag), hi.imag)) for z in zs[k:].tolist()]
+    out = np.empty_like(zs)
+    out[:, :k] = distance(zs[:, :k], region)[1]
+    out[:, k:].real = np.minimum(np.maximum(zs[:, k:].real, lo.real), hi.real)
+    out[:, k:].imag = np.minimum(np.maximum(zs[:, k:].imag, lo.imag), hi.imag)
+    return out
 
 
 def _fast_required(zeros: list[complex], region: ConvexRegion, k: int) -> float:
     crit = critical_points(RationalFunction(tuple(zeros), (), 1.0)).points
     dist = np.sort(distances(np.asarray(crit, dtype=np.complex128), region))
     return float(dist[k - 2])
+
+
+def _scores(zeros: np.ndarray, region: ConvexRegion, k: int) -> np.ndarray:
+    """Minus _fast_required for each row of a (B, n) stack of zeros; a row
+    whose critical points do not settle scores 0.0, no better than flat.
+
+    Rows whose zeros lie pairwise farther apart than 2 * CLUSTER_TOL are
+    critical_points' own centres, and share one stacked secular solve that
+    is bitwise equal to it row by row.  The rest, which _cluster would
+    merge, and every row of a stack that raises NonConvergence go through
+    _fast_required one at a time.
+    """
+    scores = np.empty(len(zeros))
+    alone = _crowded(zeros, 2.0 * CLUSTER_TOL).any(axis=1)
+    stack = np.flatnonzero(~alone)
+    if stack.size:
+        try:
+            crit, _ = _partial_fraction_roots(
+                zeros[stack], np.ones((stack.size, zeros.shape[1]),
+                                      dtype=np.complex128), ROOT_TOL)
+            scores[stack] = -np.sort(distances(crit, region), axis=1)[:, k - 2]
+        except NonConvergence:
+            alone[stack] = True
+    for i in np.flatnonzero(alone):
+        try:
+            scores[i] = -_fast_required(zeros[i].tolist(), region, k)
+        except NonConvergence:
+            scores[i] = 0.0
+    return scores
 
 
 def _mode_simplex(x0: np.ndarray, step: float) -> np.ndarray:
@@ -255,14 +287,10 @@ def search_psi(n: int, k: int, region: ConvexRegion, restarts: int = 50,
     evaluations = 0
     trace: list[tuple[int, float]] = []
 
-    def objective(x: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        zeros = _decode(x, k, region, anchor, _SEARCH_BOX_HALF_WIDTH)
-        try:
-            return -_fast_required(zeros, region, k)
-        except NonConvergence:
-            return 0.0  # unresolvable configuration scores no better than flat
+    def objective(xs: np.ndarray) -> np.ndarray:
+        # the score of each row of xs; callers count the evaluations
+        return _scores(_decode(xs, k, region, anchor, _SEARCH_BOX_HALF_WIDTH),
+                       region, k)
 
     def encode(points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.complex128)
@@ -271,24 +299,28 @@ def search_psi(n: int, k: int, region: ConvexRegion, restarts: int = 50,
 
     def ring_start() -> np.ndarray:
         # ring of n zeros with the two nearest vertices pinned to the circle
-        # of radius `scale` around the anchor, best radius by line scan
+        # of radius `scale` around the anchor, best radius by a line scan
+        # solved as one stack
+        nonlocal evaluations
         sin_half = math.sin(math.pi / n)
         th = 2.0 * math.pi * rng.random()
         direction = complex(math.cos(th), math.sin(th))
-        best = None
+        rows = []
         for frac in np.linspace(0.15, 0.995, 32):
             rho = scale * frac / sin_half
             d = rho * math.cos(math.pi / n) + scale * math.sqrt(1.0 - frac ** 2)
             g = anchor + d * direction
-            pts = [g + rho * direction * complex(
+            rows.append(encode([g + rho * direction * complex(
                 math.cos(math.pi + (2 * j + 1) * math.pi / n),
                 math.sin(math.pi + (2 * j + 1) * math.pi / n))
-                for j in range(n)]
-            x = encode(pts)
-            v = objective(x)
-            if best is None or v < best[0]:
-                best = (v, x)
-        return best[1]
+                for j in range(n)]))
+        values = objective(np.array(rows))
+        evaluations += len(rows)
+        best = 0
+        for i, v in enumerate(values):    # the first of equal minima
+            if v < values[best]:
+                best = i
+        return rows[best]
 
     def cloud_start() -> np.ndarray:
         pts = [sample_point(region, rng) for _ in range(k)]
@@ -299,6 +331,7 @@ def search_psi(n: int, k: int, region: ConvexRegion, restarts: int = 50,
         return np.array([c for z in pts for c in (z.real, z.imag)])
 
     def arc_start() -> np.ndarray | None:
+        nonlocal evaluations
         family = _ArcFamily(n, k, region, rng)
         knee = family.start()
         if knee is None:
@@ -306,28 +339,30 @@ def search_psi(n: int, k: int, region: ConvexRegion, restarts: int = 50,
         t0, c0, s0 = knee
         span = (t0 + family.scale) ** n
 
-        def neg(p):
-            return objective(encode(family.zeros_at(p[0], p[1] * span,
-                                                    abs(p[2]))))
+        def arc_point(p):
+            return encode(family.zeros_at(p[0], p[1] * span, abs(p[2])))
+
+        def neg(ps):
+            return objective(np.array([arc_point(p) for p in ps]))
 
         p0 = np.array([t0, c0 / span, s0])
         simplex = np.array([p0,
                             p0 + [3e-4 * scale, 0.0, 0.0],
                             p0 + [0.0, max(abs(p0[1]), 1e-9) * 1e-4, 0.0],
                             p0 + [0.0, 0.0, 0.4 * s0]])
-        res = minimize(neg, p0, method="Nelder-Mead",
-                       options={"maxiter": iters, "xatol": 1e-14,
-                                "fatol": 1e-15, "initial_simplex": simplex})
-        best = res.x if res.fun < neg(p0) else p0
-        return encode(family.zeros_at(best[0], best[1] * span, abs(best[2])))
+        res = minimize(neg, p0, maxiter=iters, xatol=1e-14, fatol=1e-15,
+                       initial_simplex=simplex)
+        evaluations += res.nfev + 1
+        return arc_point(res.x if res.fun < neg(p0[None])[0] else p0)
 
     best_value = -math.inf
     best_x: np.ndarray | None = None
 
     def descend(x0: np.ndarray, options: dict) -> None:
         # one Nelder-Mead run; a better end point becomes the incumbent
-        nonlocal best_value, best_x
-        res = minimize(objective, x0, method="Nelder-Mead", options=options)
+        nonlocal best_value, best_x, evaluations
+        res = minimize(objective, x0, **options)
+        evaluations += res.nfev
         if -res.fun > best_value:
             best_value = -res.fun
             best_x = res.x
@@ -357,8 +392,8 @@ def search_psi(n: int, k: int, region: ConvexRegion, restarts: int = 50,
         descend(best_x, dict(base, initial_simplex=_mode_simplex(
             best_x, step * scale)))
 
-    zeros = _decode(best_x, k, region, anchor, _SEARCH_BOX_HALF_WIDTH)
-    config = RationalFunction(tuple(zeros), (), 1.0)
+    zeros = _decode(best_x[None], k, region, anchor, _SEARCH_BOX_HALF_WIDTH)
+    config = RationalFunction(tuple(zeros[0].tolist()), (), 1.0)
     # re-derive the reported value from the witness so the two always agree
     value = required_epsilon(config, region, k)
     return SearchResult(n=n, k=k, best_required_epsilon=value,

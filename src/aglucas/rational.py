@@ -114,10 +114,12 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
 
 @np.errstate(invalid="ignore", over="ignore")   # inf - inf, far-off pairs
 def _crowded(pts: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the points lying within tol of another point."""
-    gap = np.abs(pts[:, None] - pts)
-    np.fill_diagonal(gap, np.inf)
-    return (gap <= tol).any(axis=1)
+    """Mask of the points lying within tol of another point of their row
+    (the last axis)."""
+    n = pts.shape[-1]
+    gap = np.abs(pts[..., :, None] - pts[..., None, :])
+    gap.reshape(-1, n * n)[:, ::n + 1] = np.inf     # each point's own gap
+    return (gap <= tol).any(axis=-1)
 
 
 def _cluster(points, tol: float):
@@ -157,7 +159,8 @@ def _secular_aberth(z: np.ndarray, centers: np.ndarray, weights: np.ndarray,
                     dtype, root_tol: float,
                     max_iterations: int = 200) -> np.ndarray:
     """Aberth iteration on the roots of N = D * R, where
-    R(z) = sum weights / (z - centers) and D = prod(z - centers).
+    R(z) = sum weights / (z - centers) and D = prod(z - centers), for each
+    row of a stack: z is (B, n) and centers and weights are (B, d).
 
     Everything is evaluated in partial-fraction form: N'/N = R'/R + S with
     S = D'/D needs only the centre data, so clustered configurations keep
@@ -171,44 +174,84 @@ def _secular_aberth(z: np.ndarray, centers: np.ndarray, weights: np.ndarray,
     still takes the correction computed there unless |R| is within one ulp:
     near a tight cluster of roots R' is tiny, and stopping one correction
     early left search witnesses up to 2.7e-6 off their 60-digit values.
+
+    Rows never mix.  Element-wise work runs over every unsettled root of
+    the stack at once, but each row's sums over its centres come from a
+    matmul over that row's unsettled roots alone, the shape a one-row call
+    has: BLAS rounds a matrix-vector product differently as its shape
+    changes, so this keeps each row bitwise equal to a one-row call.
+    NonConvergence if any row has not settled after max_iterations.
     """
-    n, d = len(z), len(centers)
+    rows, n = z.shape
+    d = centers.shape[1]
     z = z.astype(dtype)
+    flat = z.reshape(-1)
     c = centers.astype(dtype)
     w = weights.astype(dtype)
-    ulp_w = float(np.finfo(w.real.dtype).eps) * np.abs(weights)
-    # one buffer holds the unsettled rows' root-centre terms in dtype, then
+    ulp_w = float(np.finfo(dtype).eps) * np.abs(weights)
+    # one buffer holds the unsettled roots' root-centre terms in dtype, then
     # as complex128 (cast in place, forward) those and the root-root terms
-    buf = np.empty(n * d, dtype=dtype)
+    buf = np.empty(rows * n * d, dtype=dtype)
     low = buf.view(np.complex128)
-    size = np.empty(n * d)
-    active = np.arange(n)
+    size = np.empty(rows * n * d)
+    everyone = np.arange(rows * n)
+    active = everyone
+    # a lone row's products skip the per-row split, which costs as much
+    # again as a small matmul
+    lone = rows == 1
+    w0, ulp0, weights0 = w[0], ulp_w[0], weights[0]
+    if not lone:
+        # row b owns flat[b*n:(b+1)*n]; each root's row, centres and place
+        firsts = np.arange(0, rows * n + 1, n)
+        row_of = everyone // n
+        c_rows, col_of = c[row_of], everyone - n * row_of
     for _ in range(max_iterations):
         a = len(active)
+        if lone:
+            own, col = c, active
+        elif a == rows * n:     # nothing has settled: whole rows batch
+            blocks, own, col = None, c_rows, col_of
+        else:
+            # (row, first, end) of each row's unsettled roots within active
+            cut = np.searchsorted(active, firsts).tolist()
+            blocks = [(b, cut[b], cut[b + 1]) for b in range(rows)
+                      if cut[b] < cut[b + 1]]
+            own, col = c_rows[active], col_of[active]
+        zs = flat[active]
         near = buf[:a * d].reshape(a, d)
-        np.reciprocal(np.subtract.outer(z[active], c, out=near), out=near)
-        r = (near @ w).astype(np.complex128)
-        np.copyto(low[:a * d], buf[:a * d])
-        near = low[:a * d].reshape(a, d)
+        np.reciprocal(np.subtract(zs[:, None], own, out=near), out=near)
+        r = near @ w0 if lone else _by_row(blocks, near, w)
+        if dtype != np.complex128:
+            r = r.astype(np.complex128)
+            np.copyto(low[:a * d], buf[:a * d])
+            near = low[:a * d].reshape(a, d)
         s = near.sum(axis=1)
-        ulp = np.abs(near, out=size[:a * d].reshape(a, d)) @ ulp_w
-        minus_dr = np.square(near, out=near) @ weights
-        roots = z.astype(np.complex128)
-        zd = roots[active]
-        mutual = np.subtract.outer(zd, roots, out=low[:a * n].reshape(a, n))
-        mutual[np.arange(a), active] = np.inf
+        size_a = np.abs(near, out=size[:a * d].reshape(a, d))
+        ulp = size_a @ ulp0 if lone else _by_row(blocks, size_a, ulp_w)
+        np.square(near, out=near)
+        minus_dr = near @ weights0 if lone else _by_row(blocks, near, weights)
+        roots = flat.astype(np.complex128, copy=False)
+        zd = zs.astype(np.complex128, copy=False)
+        mutual = low[:a * n].reshape(a, n)
+        if lone:
+            np.subtract.outer(zd, roots, out=mutual)
+        else:
+            np.subtract(zd[:, None], roots.reshape(rows, n)[row_of[active]],
+                        out=mutual)
+        mutual[everyone[:a], col] = np.inf
         rep = np.reciprocal(mutual, out=mutual).sum(axis=1)
         step = 1.0 / ((s - rep) - minus_dr / r)
         mag = np.abs(step)
         if not mag.max() <= 0.5:
             # a runaway correction, or a root on a centre: damp the first
-            # (far out, Newton can overshoot), nudge the second
+            # (far out, Newton can overshoot), nudge the second; a no-op on
+            # rows without either, so one row's trigger leaves the others
             cap = 0.5 * (1.0 + np.abs(zd))
             step = np.where(mag > cap, step * (cap / mag), step)
             step[~np.isfinite(step)] = 0.1 + 0.1j
         resid = np.abs(r)
         step[resid <= ulp] = 0.0
-        z[active] -= step
+        flat[active] -= step
         active = active[~((resid <= 16.0 * ulp) | (
             mag <= root_tol * np.maximum(1.0, np.abs(zd - step))))]
         if not active.size:
@@ -216,6 +259,17 @@ def _secular_aberth(z: np.ndarray, centers: np.ndarray, weights: np.ndarray,
     raise NonConvergence(
         f"critical-point corrections not settled after {max_iterations} "
         "iterations")
+
+
+def _by_row(blocks, x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """x[lo:hi] @ vectors[b] for each block (b, lo, hi) of x's rows, one
+    matmul per block, concatenated; with blocks None, x holds every row's
+    n roots in order, and one batched matmul takes them.  Each product has
+    the shape of a one-row call's, which a batch keeps."""
+    if blocks is None:
+        return (x.reshape(len(vectors), -1, x.shape[1])
+                @ vectors[:, :, None]).reshape(-1)
+    return np.concatenate([x[lo:hi] @ vectors[b] for b, lo, hi in blocks])
 
 
 def critical_points(f: RationalFunction,
@@ -234,31 +288,52 @@ def critical_points(f: RationalFunction,
     if not 0.0 < root_tol <= _ROOT_TOL_MAX:
         raise ValueError(f"root_tol must lie in (0, {_ROOT_TOL_MAX:g}], "
                          f"got {root_tol!r}")
-    f = _reduced(f, CLUSTER_TOL)
-    zc, zm = _cluster(f.zeros, CLUSTER_TOL)
-    pc, pm = _cluster(f.poles, CLUSTER_TOL)
-    known: list[complex] = []
-    for c, m in zip(zc, zm):
-        known.extend([c] * (m - 1))
-    if not zc and not pc:
+    if f.is_constant:
         return RootSet((), 0.0)
-    centers = np.array(zc + pc, dtype=np.complex128)
-    weights = np.array(zm + [-m for m in pm], dtype=np.complex128)
-    extra, _, residual = _partial_fraction_roots(centers, weights, root_tol)
-    return RootSet(tuple(known) + extra, residual)
+    centers = np.array([f.zeros + f.poles], dtype=np.complex128)
+    signs = [1] * len(f.zeros) + [-1] * len(f.poles)
+    known: list[complex] = []
+    if _crowded(centers, 2.0 * CLUSTER_TOL).any():
+        # zeros on poles cancel, and coincident points merge into centres
+        # weighted by multiplicity (no point is nearer than 2 * CLUSTER_TOL
+        # to another otherwise, so each is its own centre)
+        f = _reduced(f, CLUSTER_TOL)
+        zc, zm = _cluster(f.zeros, CLUSTER_TOL)
+        pc, pm = _cluster(f.poles, CLUSTER_TOL)
+        for c, m in zip(zc, zm):
+            known.extend([c] * (m - 1))
+        if not zc and not pc:
+            return RootSet((), 0.0)
+        centers = np.array([zc + pc], dtype=np.complex128)
+        signs = zm + [-m for m in pm]
+    weights = np.array(signs, dtype=np.complex128)
+    roots = _partial_fraction_roots(centers, weights[None], root_tol)[0][0]
+    residual = 0.0
+    if roots.size:
+        terms = np.subtract.outer(roots, centers[0])
+        np.divide(weights, terms, out=terms)
+        residual = float((np.abs(terms.sum(axis=1))
+                          / np.abs(terms).sum(axis=1)).max())
+    return RootSet(tuple(known) + tuple(roots.tolist()), residual)
 
 
 def _eigen_start(unit: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The d - 1 roots of sum weights / (z - unit), for weights with a
-    nonzero sum, from one LAPACK call: with the centre u_j farthest out
-    dropped, they are the eigenvalues of diag(u_i) - v 1^T over i != j,
-    v_i = w_i (u_i - u_j) / sum w, a diagonal-plus-rank-one matrix whose
-    characteristic polynomial is D * R / sum w (Golub, SIAM Rev. 15 (1973)).
+    """The d - 1 roots of sum weights / (z - unit) for each row of a (B, d)
+    stack whose weights have a nonzero sum, from one LAPACK call: with the
+    centre u_j farthest out dropped, they are the eigenvalues of
+    diag(u_i) - v 1^T over i != j, v_i = w_i (u_i - u_j) / sum w, a
+    diagonal-plus-rank-one matrix whose characteristic polynomial is
+    D * R / sum w (Golub, SIAM Rev. 15 (1973)).  Each matrix is solved on
+    its own, so a row's roots are bitwise those of a one-row call.
     """
-    j = int(np.argmax(np.abs(unit)))
-    keep = np.arange(len(unit)) != j
-    v = weights * (unit - unit[j]) / weights.sum()
-    matrix = np.diag(unit[keep]) - v[keep][:, None]
+    rows, d = unit.shape
+    j = np.abs(unit).argmax(axis=1)
+    keep = np.arange(d) != j[:, None]
+    v = weights * (unit - unit[np.arange(rows), j][:, None]) / weights.sum(
+        axis=1, keepdims=True)
+    matrix = np.zeros((rows, d - 1, d - 1), dtype=unit.dtype)
+    matrix.reshape(rows, -1)[:, ::d] = unit[keep].reshape(rows, d - 1)
+    matrix -= v[keep].reshape(rows, d - 1, 1)
     try:
         return np.linalg.eigvals(matrix)
     except np.linalg.LinAlgError as exc:
@@ -267,54 +342,68 @@ def _eigen_start(unit: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _aberth_start(unit: np.ndarray, weights: np.ndarray, count: int,
                   root_tol: float) -> np.ndarray:
-    """The count roots of sum weights / (z - unit) by complex128 Aberth
-    iteration, from one start beside each centre but the farthest out (the
-    farthest few when the degree drops), half way to the nearest other
-    centre, heading for the origin with a tilt of up to 20 degrees on the
-    golden-angle sequence, so that no two starts coincide."""
-    beside = unit[np.argsort(np.abs(unit), kind="stable")[:count]]
-    gap = np.abs(np.subtract.outer(beside, unit))
+    """The count roots of sum weights / (z - unit) for each row of a (B, d)
+    stack by complex128 Aberth iteration, from one start beside each centre
+    but the farthest out (the farthest few when the degree drops), half way
+    to the nearest other centre, heading for the origin with a tilt of up
+    to 20 degrees on the golden-angle sequence, so that no two starts
+    coincide."""
+    order = np.argsort(np.abs(unit), axis=1, kind="stable")[:, :count]
+    beside = unit[np.arange(len(unit))[:, None], order]
+    gap = np.abs(beside[:, :, None] - unit[:, None, :])
     gap[gap == 0.0] = np.inf  # each start's own centre
     tilt = 0.11 * (_GOLDEN_ANGLE * np.arange(count) % math.tau - math.pi)
-    z = beside + 0.5 * gap.min(1) * np.exp(1j * (np.angle(-beside) + tilt))
+    z = beside + 0.5 * gap.min(2) * np.exp(1j * (np.angle(-beside) + tilt))
     return _secular_aberth(z, unit, weights, np.complex128, root_tol)
 
 
 def _partial_fraction_roots(centers, weights, root_tol):
-    """Roots of N = D * sum weights / (z - centers), D = prod(z - centers).
+    """Roots of N = D * sum weights / (z - centers), D = prod(z - centers),
+    for each row of a (B, d) stack of configurations whose N share one
+    degree.
 
-    Returns (roots, leading coefficient of N, relative secular residual).
-    N has degree d - 1 - m for d centres, where the moment
-    sum weights * centers**m is the first that does not vanish; that moment
-    is N's leading coefficient.  Two centres give the one root in closed
+    Returns (roots, m): the (B, d - 1 - m) roots and the degree drop m.
+    N has degree d - 1 - m, where the moment sum weights * centers**m, N's
+    leading coefficient, is the first that does not vanish; ValueError if
+    that m differs between rows.  Two centres give the one root in closed
     form, exact where iterating would leave rounding noise (the midpoint of
     a symmetric pair is 0, not 1e-16).  Otherwise the roots are started on
     the centred and scaled centres and finished by _secular_aberth on the
-    centres as given (only the sum in _REFINE_DTYPE).  Up to _EIG_MAX centres
-    with no degree drop (m = 0: the weights are signed multiplicities, so
-    their sum is then a nonzero integer) the start is _eigen_start's
-    eigenvalue solve, which the finish settles in one or two sweeps; above
-    that bound, or when the degree drops, it is _aberth_start.  Centres that
-    are not finite, or overflow when centred, raise NonConvergence.
+    centres as given (only the sum in _REFINE_DTYPE).  Up to _EIG_MAX
+    centres with no degree drop (m = 0: the weights are signed
+    multiplicities, so their sum is then a nonzero integer) the start is
+    _eigen_start's eigenvalue solve, which the finish settles in one or two
+    sweeps; above that bound, or when the degree drops, it is
+    _aberth_start.  Every step keeps rows apart, so a row's roots are
+    bitwise those of a one-row call.  Centres that are not finite, or
+    overflow when centred, raise NonConvergence.
     """
-    d = len(centers)
+    rows, d = centers.shape
     with np.errstate(invalid="ignore", over="ignore"):
-        origin = centers.sum() / d
-        spread = float(np.abs(centers - origin).max()) or 1.0
-    if not math.isfinite(spread):
+        origin = centers.sum(axis=1, keepdims=True) / d
+        unit = centers - origin
+        spread = np.abs(unit).max(axis=1, keepdims=True)
+    if not spread.max() < math.inf:
         raise NonConvergence("non-finite centres")
-    unit = (centers - origin) / spread
+    spread[spread == 0.0] = 1.0
+    unit /= spread
     term = weights
     m = 0
-    while m < d - 1 and abs(term.sum()) <= _MOMENT_REL * np.abs(term).sum():
+    while m < d - 1:
+        vanish = np.count_nonzero(np.abs(term.sum(axis=1)) <= _MOMENT_REL
+                                  * np.abs(term).sum(axis=1))
+        if not vanish:
+            break
+        if vanish < rows:
+            raise ValueError("the rows' secular equations differ in degree")
         term = term * unit
         m += 1
-    lead = complex(weights @ centers ** m)
     count = d - 1 - m
     if count == 0:
-        return (), lead, 0.0
+        return np.empty((rows, 0), dtype=np.complex128), m
     if d == 2:
-        z = np.array([weights @ centers[::-1] / weights.sum()])
+        z = np.array([[w @ c[::-1] / w.sum()]
+                      for w, c in zip(weights, centers)])
     else:
         if count == d - 1 and d <= _EIG_MAX:
             z = _eigen_start(unit, weights)
@@ -322,10 +411,7 @@ def _partial_fraction_roots(centers, weights, root_tol):
             z = _aberth_start(unit, weights, count, root_tol)
         z = _secular_aberth(origin + spread * z, centers, weights,
                             _REFINE_DTYPE, root_tol).astype(np.complex128)
-    terms = np.subtract.outer(z, centers)
-    np.divide(weights, terms, out=terms)
-    residual = np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
-    return tuple(z.tolist()), lead, float(residual.max())
+    return z, m
 
 
 def log_derivative(f: RationalFunction) -> RationalFunction:
@@ -342,8 +428,10 @@ def log_derivative(f: RationalFunction) -> RationalFunction:
         raise MultiplicityViolation("zeros and poles must all be simple")
     weights = np.array([1.0] * len(f.zeros) + [-1.0] * len(f.poles),
                        dtype=np.complex128)
-    roots, lead, _ = _partial_fraction_roots(centers, weights, ROOT_TOL)
-    return RationalFunction(roots, pts, lead)
+    roots, m = _partial_fraction_roots(centers[None], weights[None],
+                                       ROOT_TOL)
+    lead = complex(weights @ centers ** m)
+    return RationalFunction(tuple(roots[0].tolist()), pts, lead)
 
 
 def rational_product(a: RationalFunction,

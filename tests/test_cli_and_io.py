@@ -336,6 +336,18 @@ class TestPlot:
         assert out.startswith('<?xml version="1.0"')
         assert "</svg>" in out
 
+    @pytest.mark.parametrize("eps, code", [("nan", 2), ("-1", 2), ("inf", 2),
+                                           ("0", 0), ("0.3", 0)])
+    def test_eps_checked(self, instance_file, capsys, eps, code):
+        path = instance_file(dict(CUBIC, region=SEGMENT))
+        assert run(["plot", "--instance", path, "--eps", eps]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err.startswith("error: eps must be")
+        else:
+            assert "</svg>" in captured.out
+
 
 class TestRenderSvg:
     def test_minimal_scene_has_circle(self):

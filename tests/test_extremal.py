@@ -1,11 +1,14 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aglucas import (Disk, HypothesisUnmet, InsufficientCriticalPoints,
-                     RationalFunction, Segment, asymptotic_experiment,
-                     conjecture_probe, critical_points, from_points,
+                     NonConvergence, RationalFunction, Segment,
+                     asymptotic_experiment, conjecture_probe,
+                     critical_points, from_points,
                      psi1_biernacki, psi1_disk_bound, psi1_kakeya,
                      psi1_marden, random_instance, required_epsilon,
                      search_psi)
@@ -77,7 +80,11 @@ class TestSearchSmall:
 
     def test_witnesses_match_60_digit_values(self):
         # the solver's accuracy bar: each witness's value, recomputed from
-        # its zeros in 60-digit arithmetic, is within 1.2e-7 of the reported
+        # its zeros in 60-digit arithmetic, is within 1.2e-7 of the reported;
+        # and each search repeats, bitwise, the value, evaluation count and
+        # trace recorded from scipy's Nelder-Mead over one-row solves
+        recorded = json.loads((Path(__file__).parent / "data"
+                               / "witness_searches.json").read_text())
         for n in range(3, 9):
             for seed in (100 * n + 1, 100 * n + 2, 100 * n + 3):
                 res = search_psi(n, 2, UNIT_DISK, restarts=1, iters=40,
@@ -85,6 +92,10 @@ class TestSearchSmall:
                 exact = _disk_value_60_digits(res.best_configuration.zeros)
                 assert abs(res.best_required_epsilon - exact) <= 1.2e-7, \
                     (n, seed)
+                assert {"value": repr(res.best_required_epsilon),
+                        "evaluations": res.evaluations,
+                        "trace": [[e, repr(float(v))] for e, v in res.trace]
+                        } == recorded[f"{n}/{seed}"], (n, seed)
 
     def test_trace_monotone(self):
         res = search_psi(4, 2, UNIT_DISK, restarts=6, iters=150, seed=2)
@@ -107,6 +118,153 @@ def _disk_value_60_digits(zeros):
         deriv = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
         roots = mpmath.polyroots(deriv, maxsteps=400, extraprec=400)
         return float(min(max(abs(r) - 1, 0) for r in roots))
+
+
+def _quadratic(x):
+    return float(np.sum(np.arange(1, len(x) + 1) * (x - 0.3) ** 2))
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                        + (1.0 - x[:-1]) ** 2))
+
+
+def _terraced(x):
+    # a quadratic rounded to tenths: many vertices tie
+    return round(_quadratic(x), 1)
+
+
+def _stacked(f, batches=None):
+    """f as a stacked objective, optionally recording the batch sizes."""
+    def stacked(xs):
+        if batches is not None:
+            batches.append(len(xs))
+        return np.array([f(x) for x in xs])
+    return stacked
+
+
+def _scipy_nelder_mead(f, x0, **options):
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(f, x0, method="Nelder-Mead", options=options)
+
+
+def _same_run(ours, theirs):
+    return (np.array_equal(ours.x, theirs.x) and ours.fun == theirs.fun
+            and ours.nfev == theirs.nfev and ours.nit == theirs.nit)
+
+
+class TestNelderMead:
+    """The in-repo Nelder-Mead takes scipy's steps, with scipy as the
+    reference: the same x, fun, nfev and nit."""
+
+    @pytest.mark.parametrize("f", [_quadratic, _rosenbrock])
+    @pytest.mark.parametrize("dim", [3, 16])
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("given_simplex", [False, True])
+    def test_matches_scipy(self, f, dim, adaptive, given_simplex):
+        gen = np.random.default_rng(dim)
+        x0 = gen.standard_normal(dim)
+        x0[1] = 0.0                   # the default simplex's zero step
+        options = {"maxiter": 300, "xatol": 1e-10, "fatol": 1e-12,
+                   "adaptive": adaptive}
+        if given_simplex:
+            options["initial_simplex"] = x0 + 0.1 * gen.standard_normal(
+                (dim + 1, dim))
+        ours = extremal.minimize(_stacked(f), x0, **options)
+        assert _same_run(ours, _scipy_nelder_mead(f, x0, **options))
+
+    def test_converged_run_matches_scipy(self):
+        x0 = np.array([0.5, -0.2, 0.1])
+        options = {"maxiter": 5000, "xatol": 1e-6, "fatol": 1e-8}
+        ours = extremal.minimize(_stacked(_quadratic), x0, **options)
+        theirs = _scipy_nelder_mead(_quadratic, x0, **options)
+        assert ours.nit < 5000 and _same_run(ours, theirs)
+
+    def test_maxfev_ends_runs_as_scipy(self):
+        # every budget from inside the initial simplex to past the end,
+        # through expansions, contractions and shrinks (the ties of the
+        # terraced quadratic make the simplex shrink)
+        x0 = np.array([2.0, 2.0, 2.0])
+        batches = []
+        full = extremal.minimize(_stacked(_terraced, batches), x0,
+                                 maxiter=60, xatol=1e-12, fatol=1e-14)
+        # after the 4-point simplex, only a shrink asks for 3 points at
+        # once; a budget one past a shrink's start stops inside it
+        assert 3 in batches[1:]
+        for maxfev in range(1, full.nfev + 3):
+            ours = extremal.minimize(_stacked(_terraced), x0, maxiter=60,
+                                     xatol=1e-12, fatol=1e-14, maxfev=maxfev)
+            theirs = _scipy_nelder_mead(_terraced, x0, maxiter=60,
+                                        xatol=1e-12, fatol=1e-14,
+                                        maxfev=maxfev)
+            assert _same_run(ours, theirs), maxfev
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_tied_values_sort_as_scipy(self, adaptive):
+        x0 = np.array([1.0, -0.5, 2.0, 0.0, 0.7, -1.1])
+        options = {"maxiter": 200, "xatol": 1e-10, "fatol": 1e-12,
+                   "adaptive": adaptive}
+        ours = extremal.minimize(_stacked(_terraced), x0, **options)
+        assert _same_run(ours, _scipy_nelder_mead(_terraced, x0, **options))
+
+    def test_unused_inside_contraction_is_not_counted(self):
+        asked = []
+        res = extremal.minimize(_stacked(_quadratic, asked),
+                                np.array([0.5, -0.2, 0.1]), maxiter=40,
+                                xatol=1e-12, fatol=1e-14)
+        assert sum(asked) > res.nfev
+
+
+class TestScores:
+    """The search objective solves its rows as one stack, bitwise equal to
+    one-row solves, and falls back to them row by row."""
+
+    @staticmethod
+    def _one_row(zeros, k):
+        try:
+            return -extremal._fast_required(list(zeros), UNIT_DISK, k)
+        except NonConvergence:
+            return 0.0
+
+    @pytest.mark.parametrize("rows", [1, 2, 17])
+    @pytest.mark.parametrize("n", [3, 5, 8, 20])
+    def test_rows_match_one_row_scores_bitwise(self, rows, n):
+        gen = np.random.default_rng(rows * n)
+        zeros = 0.8 * (gen.standard_normal((rows, n))
+                       + 1j * gen.standard_normal((rows, n)))
+        got = extremal._scores(zeros, UNIT_DISK, 2)
+        want = [self._one_row(row, 2) for row in zeros]
+        assert np.array_equal(got, want)
+
+    def test_fallback_rows(self, monkeypatch):
+        gen = np.random.default_rng(9)
+        zeros = gen.standard_normal((4, 5)) + 1j * gen.standard_normal((4, 5))
+        zeros[1, 3] = zeros[1, 0] + 1e-10           # crowded: _cluster merges
+        alone = []
+        real = extremal._fast_required
+
+        def spy(row, region, k):
+            alone.append(list(row))
+            return real(row, region, k)
+
+        monkeypatch.setattr(extremal, "_fast_required", spy)
+        got = extremal._scores(zeros, UNIT_DISK, 3)
+        assert alone == [zeros[1].tolist()]
+        assert np.array_equal(got, [self._one_row(row, 3) for row in zeros])
+        # a non-finite row sends the whole stack through one-row solves,
+        # where it alone scores 0.0
+        zeros[2, 4] = complex(math.nan, 0.0)
+        alone.clear()
+        got = extremal._scores(zeros, UNIT_DISK, 3)
+        assert np.array_equal(alone, zeros, equal_nan=True)
+        assert got[2] == 0.0 and not math.copysign(1.0, got[2]) < 0
+        assert np.array_equal(got[[0, 1, 3]],
+                              [self._one_row(zeros[i], 3) for i in (0, 1, 3)])
+
+    def test_stack_with_every_row_failing(self):
+        zeros = np.full((3, 4), complex(math.inf, 0.0))
+        got = extremal._scores(zeros, UNIT_DISK, 2)
+        assert got.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestArcGrid:

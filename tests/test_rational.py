@@ -484,11 +484,14 @@ def _secular_roots_60_digits(centres, weights):
 
 class _SubtractSpy:
     """Stands in for numpy inside rational, recording the arguments of every
-    np.subtract.outer call."""
+    np.subtract.outer call; np.subtract itself passes through."""
 
     def __init__(self):
         self.calls = []
         self.subtract = self
+
+    def __call__(self, *args, **kwargs):
+        return np.subtract(*args, **kwargs)
 
     def outer(self, a, b, out=None):
         self.calls.append((a.copy(), b.copy()))
@@ -523,8 +526,9 @@ class TestSecularAberth:
         z0 = exact + np.logspace(-14, -2, 19) * np.exp(2j * gen.random(19))
         spy = _SubtractSpy()
         monkeypatch.setattr(rational, "np", spy)
-        got = rational._secular_aberth(z0, centres, weights.astype(complex),
-                                       dtype, rational.ROOT_TOL)
+        got = rational._secular_aberth(z0[None], centres[None],
+                                       weights.astype(complex)[None],
+                                       dtype, rational.ROOT_TOL)[0]
         monkeypatch.undo()
         assert np.abs(got - exact).max() <= 1e-12
         # each sweep's root-root call gets (unsettled roots, all roots)
@@ -561,8 +565,60 @@ class TestSecularAberth:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConvergence):
-                rational._secular_aberth(z0, centres, np.ones(20, complex),
+                rational._secular_aberth(z0[None], centres[None],
+                                         np.ones((1, 20), complex),
                                          dtype, rational.ROOT_TOL)
+
+
+class TestStackedRows:
+    """_partial_fraction_roots solves a (B, d) stack row by row: each row's
+    roots are bitwise those of a one-row call (critical_points derives its
+    residual from those roots)."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 17])
+    @pytest.mark.parametrize("d", [3, 5, 8, 16, 17, 24])
+    def test_rows_match_critical_points_bitwise(self, rows, d):
+        gen = np.random.default_rng(100 * rows + d)
+        centres = gen.standard_normal((rows, d)) + 1j * gen.standard_normal(
+            (rows, d))
+        poles = d // 3                # signed weights, no degree drop
+        weights = np.ones((rows, d), dtype=complex)
+        weights[:, d - poles:] = -1
+        roots, m = rational._partial_fraction_roots(centres, weights,
+                                                    rational.ROOT_TOL)
+        assert m == 0 and roots.shape == (rows, d - 1)
+        for row, got in zip(centres, roots):
+            f = RationalFunction(tuple(row[:d - poles]), tuple(row[d - poles:]))
+            want = np.array(critical_points(f).points)
+            assert np.array_equal(got.view(float), want.view(float))
+
+    def test_rows_retire_apart(self):
+        # a row started on its roots settles at once; the stack still
+        # finishes the others as one-row calls would
+        gen = np.random.default_rng(4)
+        centres = gen.standard_normal((3, 6)) + 1j * gen.standard_normal(
+            (3, 6))
+        weights = np.ones((3, 6), dtype=complex)
+        exact = rational._partial_fraction_roots(centres, weights,
+                                                 rational.ROOT_TOL)[0]
+        start = exact + 1e-3
+        start[1] = exact[1]
+        got = rational._secular_aberth(start, centres, weights,
+                                       rational._REFINE_DTYPE,
+                                       rational.ROOT_TOL)
+        for b in range(3):
+            alone = rational._secular_aberth(start[b:b + 1], centres[b:b + 1],
+                                             weights[b:b + 1],
+                                             rational._REFINE_DTYPE,
+                                             rational.ROOT_TOL)
+            assert np.array_equal(got[b], alone[0])
+
+    def test_rows_of_different_degree_rejected(self):
+        centres = np.array([[0, 1, 2j], [0, 1, 2j]], dtype=complex)
+        weights = np.array([[1, 1, 1], [1, 1, -2]], dtype=complex)
+        with pytest.raises(ValueError):
+            rational._partial_fraction_roots(centres, weights,
+                                             rational.ROOT_TOL)
 
 
 class TestLogDerivative:
