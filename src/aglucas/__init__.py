@@ -5,7 +5,7 @@ polynomial to the convex hull of its zeros.  This package explores the
 approximate version: if at least k of the n zeros and poles of a rational
 function lie in a bounded convex region, how small an eps guarantees that at
 least k - 1 critical points lie in the closed eps-neighborhood?  It provides
-closed-form sufficient bounds, an argument-principle certificate that never
+closed-form sufficient bounds, a Rouche certificate that never
 locates critical points, direct counting, and extremal searches for the
 sharpest eps.
 """

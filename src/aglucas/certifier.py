@@ -1,14 +1,14 @@
 """Contour-based certification of critical-point counts.
 
 This is an independent route to lower bounds on the number of critical
-points near a convex region: factor f into the polynomial of its zeros
-inside the region times the remainder, surround the region with a
-constant-offset contour that avoids small exclusion balls around the
-remainder's zeros and poles, check that the inside factor's logarithmic
-derivative dominates the remainder's on the contour (the Rouche hypothesis),
-and then count via the argument principle.  The critical-point root finder
-is never consulted; the winding integrand is evaluated purely from the known
-zero and pole locations.
+points near a convex region: factor f into the polynomial g of its zeros
+inside the region times the remainder h, surround the region with a
+constant-offset contour that avoids small exclusion balls around h's zeros
+and poles, and check that G = g'/g dominates H = h'/h on the closed polygon
+through the contour samples, with a margin certified between samples.  By
+Rouche's theorem f'/f = G + H then has as many zeros minus poles inside the
+polygon as G, which is -1 by Gauss-Lucas, so the count needs no winding
+integral.  The critical-point root finder is never consulted.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .regions import (CONTOUR_TOL, MEMBERSHIP_TOL, ConvexRegion,  # noqa: F401
                       OffsetContour, distance, distances, offset_contour)
 
 MARGIN_FLOOR = 1e-8      # below this, dominance is numerically uncertain
-MAX_WINDING_SAMPLES = 2 ** 18
 _WINDING_TOL = 0.1       # max distance of the raw integral to an integer
 # find_contour's order over its nine evenly spaced offsets: nearest the
 # midline first, equidistant pairs toward the smaller offset
@@ -48,12 +47,16 @@ class ExclusionSet:
 
     balls: tuple[ExclusionBall, ...]
 
-    def clears(self, samples: np.ndarray) -> bool:
+    def clears(self, region: ConvexRegion, offsets) -> np.ndarray:
+        """Per offset d, whether the curve dist(z, region) = d keeps twice
+        the radius from every centre c.  dist(., region) is 1-Lipschitz, so
+        the curve is |dist(c, region) - d| from a c outside the region, and
+        at least that far from one inside."""
         centers = np.array([b.center for b in self.balls], dtype=complex)
         reach = np.array([2.0 * b.radius for b in self.balls])
-        # |z - c| - 2r < 0 exactly when |z - c| < 2r
-        return float(np.min(np.abs(samples - centers[:, None]) - reach[:, None],
-                            initial=math.inf)) >= 0.0
+        gap = np.abs(distances(centers, region)[:, None]
+                     - np.asarray(offsets)) - reach[:, None]
+        return np.min(gap, axis=0, initial=math.inf) >= 0.0
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,8 @@ class RoucheCertificate:
     the eps-neighborhood of the contour's region."""
 
     contour: OffsetContour
-    margin: float
+    margin: float            # min of |G| - |H| over the samples
+    certified_margin: float  # a lower bound on |G| - |H| along the polygon
     winding: int
     zeros_poles_inside: int
     critical_lower_bound: int
@@ -133,68 +137,59 @@ def exclusion_set(remainder: RationalFunction, eps: float,
 
 def find_contour(region: ConvexRegion, eps: float, excl: ExclusionSet,
                  min_samples: int = 512) -> OffsetContour:
-    """Pick a constant offset in (eps/2, eps) whose sampled contour clears
-    every exclusion ball by at least one ball radius.
+    """Sample the constant-offset contour in (eps/2, eps) that clears every
+    exclusion ball by at least one ball radius.
 
-    Nine candidate offsets are tried, nearest the midline 3*eps/4 first.
-    Raises ContourNotFound when all fail; that only means this one-parameter
-    family is exhausted, not that no admissible path exists.
+    Nine offsets are tested exactly, nearest the midline 3*eps/4 first, and
+    only the one picked is sampled.  Raises ContourNotFound when all fail;
+    that only means this one-parameter family is exhausted, not that no
+    admissible path exists.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     clearance = eps / 20.0
-    candidates = np.linspace(eps / 2.0 + clearance, eps - clearance,
-                             9).tolist()
+    candidates = np.linspace(eps / 2.0 + clearance, eps - clearance, 9)
+    clear = excl.clears(region, candidates)
     for i in _MIDLINE_FIRST:
-        contour = offset_contour(region, candidates[i], min_samples)
-        if excl.clears(contour.samples):
-            return contour
+        if clear[i]:
+            return offset_contour(region, float(candidates[i]), min_samples)
     raise ContourNotFound(
         "no constant-offset contour clears the exclusion balls")
 
 
 def _field(f: RationalFunction, samples: np.ndarray):
-    """f'/f and its slope on the samples; raises SampleAtSingularity when a
+    """log_derivative_field's f'/f and L; raises SampleAtSingularity when a
     sample lies within CLUSTER_TOL of a zero or pole of f."""
-    value, slope, nearest = log_derivative_field(f, samples)
+    value, crowding, nearest = log_derivative_field(f, samples)
     if nearest <= CLUSTER_TOL:
         raise SampleAtSingularity(f"sample {nearest:.1e} from a zero/pole")
-    return value, slope
+    return value, crowding
 
 
 def rouche_margin(inside: RationalFunction, remainder: RationalFunction,
                   contour: OffsetContour) -> float:
-    """Minimum over the contour samples of |inside'/inside| - |rem'/rem|,
-    both logarithmic derivatives taken from log_derivative_field.
-
-    Positive margin is the Rouche hypothesis for transferring zero counts.
-    """
+    """Minimum over the contour samples of |inside'/inside| - |rem'/rem|:
+    certify's sampled margin, which it also bounds between samples."""
     g, _ = _field(inside, contour.samples)
     h, _ = _field(remainder, contour.samples)
     return float(np.min(np.abs(g) - np.abs(h)))
 
 
-def _winding_from_values(values: np.ndarray, samples: np.ndarray) -> int:
-    """Trapezoidal closed-curve integral of the sampled integrand, divided by
-    2*pi*i and snapped to the nearest integer."""
-    integral = (np.sum((samples[1:] - samples[:-1]) * (values[1:] + values[:-1]))
-                + (samples[0] - samples[-1]) * (values[0] + values[-1])) / 2.0
+def winding_count(f: RationalFunction, contour: OffsetContour) -> int:
+    """Zeros minus poles of f enclosed by the contour, by the argument
+    principle: the trapezoid rule for the integral of f'/f along the closed
+    sampled curve over 2*pi*i, snapped to the nearest integer.  Raises
+    NonIntegerWinding when the sampling is too coarse to trust."""
+    samples = contour.samples
+    value, _ = _field(f, samples)
+    integral = (np.sum((samples[1:] - samples[:-1]) * (value[1:] + value[:-1]))
+                + (samples[0] - samples[-1]) * (value[0] + value[-1])) / 2.0
     raw = integral / (2j * math.pi)
     nearest = round(raw.real)
     if abs(raw - nearest) > _WINDING_TOL:
         raise NonIntegerWinding(
             f"winding integral {raw:.6f} is not close to an integer")
     return int(nearest)
-
-
-def winding_count(f: RationalFunction, contour: OffsetContour) -> int:
-    """Zeros minus poles of f enclosed by the contour, via the argument
-    principle applied to f'/f along the sampled curve.
-
-    Raises NonIntegerWinding when the sampling is too coarse to trust.
-    """
-    value, _ = _field(f, contour.samples)
-    return _winding_from_values(value, contour.samples)
 
 
 def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
@@ -204,21 +199,23 @@ def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
     eps-neighborhood of the region, without locating any critical point.
 
     Pipeline: read f in lowest form (a zero within CLUSTER_TOL of a pole
-    cancels against it), split off the zeros inside the region, perturb
-    coincident points to simple position, build the exclusion balls, pick a
-    clearing constant-offset contour, check the dominance margin, then count
-    critical points inside the contour by the argument principle:
-
-        winding of (gh)'/(gh)  =  #critical - (#zeros + #poles)   inside,
-
-    so critical_lower_bound = winding + zeros_poles_inside, and the enclosed
-    face lies inside the eps-neighborhood by construction.
+    cancels against it), split it into g, the m >= k zeros inside the
+    region, and the remainder h, perturb coincident points to simple
+    position, build the exclusion balls and sample one clearing
+    constant-offset contour.  The margin |G| - |H| (G = g'/g, H = h'/h) is
+    taken on the samples and certified on the closed polygon through them.
+    Where it is positive, Rouche's theorem gives f'/f = G + H the winding of
+    G, whose m - 1 zeros (inside by Gauss-Lucas) and m poles lie inside: -1.
+    As winding = #critical - (#zeros + #poles) inside, the bound is
+    zeros_poles_inside - 1, and the polygon lies inside the
+    eps-neighborhood by construction.
 
     Raises HypothesisUnmet when fewer than k zeros lie in the region, and
     MultiplicityViolation (coincident points that no perturbation
-    separates), ContourNotFound, MarginNonPositive, NonIntegerWinding,
-    SampleAtSingularity or ContourBoundaryConflict when no certificate can
-    be produced; none of these disproves the property.
+    separates), ContourNotFound, MarginNonPositive (certified margin at most
+    MARGIN_FLOOR), SampleAtSingularity or ContourBoundaryConflict (a point
+    too near the contour, or a zero of g not safely inside it) when no
+    certificate can be produced; none of these disproves the property.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -239,41 +236,41 @@ def certify(f: RationalFunction, region: ConvexRegion, eps: float, k: int,
 
     excl = exclusion_set(remainder, eps, max(n - k, 1))
     contour = find_contour(region, eps, excl, min_samples)
-    margin = math.inf
-    while True:
-        # G = g'/g, H = h'/h: the margin needs |G| - |H| and the winding of
-        # F = G + H, the product's f'/f, integrates F'/F
-        g, dg = _field(inside, contour.samples)
-        h, dh = _field(remainder, contour.samples)
-        margin = min(margin, float(np.min(np.abs(g) - np.abs(h))))
-        if margin <= MARGIN_FLOOR:
-            raise MarginNonPositive(
-                f"dominance margin {margin:.3e} is not safely positive "
-                f"on {len(contour.samples)} samples")
-        val = g + h
-        if float(np.min(np.abs(val))) == 0.0:
-            raise SampleAtSingularity("integrand vanished at a contour sample")
-        try:
-            winding = _winding_from_values((dg + dh) / val, contour.samples)
-            break
-        except NonIntegerWinding:
-            if len(contour.samples) * 2 > MAX_WINDING_SAMPLES:
-                raise
-            contour = offset_contour(region, contour.offset_distance,
-                                     len(contour.samples) * 2)
+    samples, offset = contour.samples, contour.offset_distance
+    g, g_crowding = _field(inside, samples)
+    h, h_crowding = _field(remainder, samples)
+    gap = np.abs(g) - np.abs(h)
+    margin = float(np.min(gap))
+    # every point e of the polygon lies within reach of a sample s, and for
+    # each zero or pole w, |1/(e - w) - 1/(s - w)| <= reach/|s - w|^2 /
+    # (1 - reach/|s - w|), where 1/|s - w| <= sqrt(L(s)) (L of g plus of h)
+    reach = 0.5 * float(np.max(np.abs(np.diff(samples, append=samples[:1]))))
+    crowding = g_crowding + h_crowding
+    shrink = 1.0 - reach * math.sqrt(float(np.max(crowding)))
+    certified = (float(np.min(gap - reach * crowding / shrink ** 2))
+                 if shrink > 0.0 else -math.inf)
+    if certified <= MARGIN_FLOOR:
+        raise MarginNonPositive(f"dominance margin {certified:.3e} (sampled "
+                                f"{margin:.3e}) is not safely positive")
 
     # perturb_to_simple left every two points over CLUSTER_TOL apart, so the
     # product of inside and remainder cancels nothing: it is `combined`
     pts = np.asarray(combined.zeros + combined.poles, dtype=np.complex128)
     dist = distances(pts, region)
-    if bool(np.any(np.abs(dist - contour.offset_distance) <= CONTOUR_TOL)):
-        raise ContourBoundaryConflict("a zero/pole lies on the contour")
-    zeros_poles_inside = int(np.count_nonzero(dist < contour.offset_distance))
-    bound = winding + zeros_poles_inside
+    # the curve's curvature is at most 1/offset, so a chord runs at most the
+    # sagitta reach^2/offset inside it; the count needs g's zeros inside
+    band = CONTOUR_TOL + reach ** 2 / offset
+    if bool(np.any(np.abs(dist - offset) <= band)
+            or np.any(dist[:n_in] >= offset - band)):
+        raise ContourBoundaryConflict(
+            "a zero/pole lies on the contour or a zero of g beyond it")
+    zeros_poles_inside = int(np.count_nonzero(dist < offset))
+    bound = zeros_poles_inside - 1
     return RoucheCertificate(
         contour=contour,
         margin=margin,
-        winding=winding,
+        certified_margin=certified,
+        winding=-1,
         zeros_poles_inside=zeros_poles_inside,
         critical_lower_bound=bound,
         valid=bound >= k - 1,

@@ -19,7 +19,7 @@ from .certifier import (ContourBoundaryConflict, certify, exclusion_set,
 from .engine import agl_report
 from .errors import (AGLError, ContourNotFound, HypothesisUnmet,
                      MarginNonPositive, MultiplicityViolation,
-                     NonIntegerWinding, SampleAtSingularity)
+                     SampleAtSingularity)
 from .rational import ROOT_TOL, critical_points
 from .regions import MEMBERSHIP_TOL, Disk, _check_eps
 
@@ -188,9 +188,8 @@ def _cmd_certify(args) -> int:
         cert = certify(f, region, args.eps, args.k,
                        min_samples=args.min_samples, seed=args.seed,
                        membership_tol=args.membership_tol)
-    except (MarginNonPositive, ContourNotFound, NonIntegerWinding,
-            SampleAtSingularity, ContourBoundaryConflict,
-            MultiplicityViolation) as exc:
+    except (MarginNonPositive, ContourNotFound, SampleAtSingularity,
+            ContourBoundaryConflict, MultiplicityViolation) as exc:
         _emit(args, _dump(serialize.certificate_failure_json(
             f"{type(exc).__name__}: {exc}", args.eps, args.k)))
         return 1

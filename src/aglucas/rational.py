@@ -476,14 +476,14 @@ def log_derivative_values(f: RationalFunction, z):
 
 
 def log_derivative_field(f: RationalFunction, z: np.ndarray):
-    """(F, F', least distance from a sample to a point of f) at the 1-d
+    """(F, L, least distance from a sample to a point of f) at the 1-d
     samples z: F = f'/f = sum 1/(z - a) - sum 1/(z - b) over zeros a and poles
-    b, repeated by multiplicity, and F' = sum 1/(z - b)^2 - sum 1/(z - a)^2.
+    b, repeated by multiplicity, and L = sum 1/|z - w|^2 over all of them.
     At most _BLOCK_TERMS (point, sample) terms exist at a time."""
     nz = len(f.zeros)
     pts = np.asarray(f.zeros + f.poles, dtype=np.complex128)[:, None]
     value = np.empty_like(z)
-    slope = np.empty_like(z)
+    crowding = np.empty(z.shape)
     nearest = math.inf
     step = max(1, _BLOCK_TERMS // max(len(pts), 1))
     with np.errstate(divide="ignore", invalid="ignore"):   # inf at a point
@@ -494,10 +494,11 @@ def log_derivative_field(f: RationalFunction, z: np.ndarray):
             terms = np.empty((len(pts), len(z[lo:hi])), dtype=np.complex128)
             terms[:] = z[lo:hi]
             terms -= pts
-            nearest = min(nearest, float(np.min(np.abs(terms),
-                                                initial=math.inf)))
+            size = np.abs(terms)
+            nearest = min(nearest, float(np.min(size, initial=math.inf)))
             np.reciprocal(terms, out=terms)
             value[lo:hi] = terms[:nz].sum(axis=0) - terms[nz:].sum(axis=0)
-            np.square(terms, out=terms)
-            slope[lo:hi] = terms[nz:].sum(axis=0) - terms[:nz].sum(axis=0)
-    return value, slope, nearest
+            np.square(size, out=size)
+            np.reciprocal(size, out=size)
+            crowding[lo:hi] = size.sum(axis=0)
+    return value, crowding, nearest

@@ -5,15 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aglucas import (AGLError, ContourNotFound, Disk, ExclusionBall,
-                     ExclusionSet, HypothesisUnmet, MultiplicityViolation,
-                     RationalFunction, SampleAtSingularity, Segment, certify,
-                     count_in, critical_points, eps_threshold_general,
+from aglucas import (AGLError, ContourBoundaryConflict, ContourNotFound,
+                     ConvexPolygon, Disk, ExclusionBall, ExclusionSet,
+                     HypothesisUnmet, MarginNonPositive,
+                     MultiplicityViolation, RationalFunction,
+                     SampleAtSingularity, Segment, certify, count_in,
+                     critical_points, distances, eps_threshold_general,
                      exclusion_set, find_contour, from_points,
                      log_derivative, offset_contour, perturb_to_simple,
                      random_instance, rational_product, rouche_margin,
                      split_instance, winding_count)
 from aglucas import certifier
+from aglucas.rational import log_derivative_values
 from conftest import match_multisets
 
 UNIT_DISK = Disk(0, 1)
@@ -136,26 +139,60 @@ class TestExclusionSet:
         assert 2 * m * radius == pytest.approx(eps / 4)
 
     def test_clears_keeps_strict_rule(self):
-        samples = np.array([0j, 1j, -1.0])
-        # a sample at exactly twice the radius clears; any closer does not
-        assert ExclusionSet((ExclusionBall(2.0, 1.0),)).clears(samples)
-        assert not ExclusionSet((ExclusionBall(2.0, 1.0 + 1e-12),)).clears(
-            samples)
-        assert ExclusionSet(()).clears(samples)
+        # around the point 0 the curve at offset d is the circle |z| = d: a
+        # gap of exactly twice the radius clears, outside the circle or in
+        point = Disk(0, 0)
+        offsets = [0.5, 1.0, 1.5, 3.0]
+        assert ExclusionSet((ExclusionBall(2.0, 0.5),)).clears(
+            point, offsets).tolist() == [True, True, False, True]
+        assert not ExclusionSet((ExclusionBall(3.0 - 1e-12, 1.0),)).clears(
+            point, [1.0])[0]
+        # a centre in the region is at least the offset from the curve
+        assert ExclusionSet((ExclusionBall(0.5, 0.125),)).clears(
+            UNIT_DISK, [0.25])[0]
+        assert not ExclusionSet((ExclusionBall(0.5, 0.125 + 1e-12),)).clears(
+            UNIT_DISK, [0.25])[0]
+        assert ExclusionSet(()).clears(point, offsets).all()
 
     def test_clears_matches_per_ball_loop(self, rng):
-        samples = offset_contour(UNIT_DISK, 0.5, 128).samples
-        for _ in range(200):
-            m = int(rng.integers(1, 6))
-            balls = tuple(ExclusionBall(complex(*rng.uniform(-2, 2, 2)),
-                                        float(rng.uniform(0.01, 0.3)))
-                          for _ in range(m))
-            expected = all(np.min(np.abs(samples - b.center)) >= 2 * b.radius
-                           for b in balls)
-            assert ExclusionSet(balls).clears(samples) == expected
+        offsets = [0.2, 0.5, 0.8]
+        for region in (UNIT_DISK, Segment(-1, 1j),
+                       ConvexPolygon((0, 1.5, 1j))):
+            contours = [offset_contour(region, d, 4096) for d in offsets]
+            for _ in range(100):
+                # outside the region, where the rule is exact
+                m = int(rng.integers(1, 6))
+                centres = []
+                while len(centres) < m:
+                    c = complex(*rng.uniform(-2.5, 2.5, 2))
+                    if distances(c, region) > 0:
+                        centres.append(c)
+                balls = tuple(ExclusionBall(c, float(rng.uniform(0.01, 0.3)))
+                              for c in centres)
+                exact = ExclusionSet(balls).clears(region, offsets)
+                for clear, contour in zip(exact, contours):
+                    s = contour.samples
+                    chord = np.max(np.abs(np.diff(s, append=s[:1])))
+                    gap = min(np.min(np.abs(s - b.center)) - 2 * b.radius
+                              for b in balls)
+                    # the samples lie on the curve, whose nearest point to
+                    # a centre is within one chord of a sample
+                    assert gap >= 0 if clear else gap < chord
 
 
 class TestFindContour:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The offsets of the contours certifier builds."""
+        offsets = []
+
+        def counted(region, d, min_samples=64):
+            offsets.append(d)
+            return offset_contour(region, d, min_samples)
+
+        monkeypatch.setattr(certifier, "offset_contour", counted)
+        return offsets
+
     def test_empty_exclusions_gives_midline(self):
         c = find_contour(UNIT_DISK, 0.4, ExclusionSet(()), 128)
         assert c.offset_distance == pytest.approx(0.3)
@@ -165,12 +202,21 @@ class TestFindContour:
         c = find_contour(UNIT_DISK, 0.4, excl, 128)
         assert c.offset_distance == pytest.approx(0.3)
 
-    def test_midline_blocker_forces_other_offset(self):
+    def test_midline_blocker_forces_other_offset(self, built):
         # ball of radius eps/16 sitting exactly on the midline contour
         eps = 0.8
         excl = ExclusionSet((ExclusionBall(1.6, eps / 16),))
         c = find_contour(UNIT_DISK, eps, excl, 256)
         assert c.offset_distance == pytest.approx(0.48)
+        assert built == [c.offset_distance]
+
+    def test_certify_builds_one_contour(self, built):
+        # a pole on the midline offset 0.75 blocks the five nearest offsets
+        f = RationalFunction(tuple(0.05 * np.exp(0.2j * np.pi * np.arange(10))),
+                             (0.85, 10.0), 1)
+        cert = certify(f, Disk(0, 0.1), 1.0, 10)
+        assert cert.contour.offset_distance == pytest.approx(0.6)
+        assert built == [cert.contour.offset_distance]
 
     def test_fixed_order_is_midline_first(self, rng):
         # the order once found by sorting on (distance to the midline 3*eps/4
@@ -183,12 +229,13 @@ class TestFindContour:
                 round(abs(d[i] - 0.75 * eps) / eps, 9), d[i]))
             assert tuple(by_key) == certifier._MIDLINE_FIRST
 
-    def test_saturated_annulus_raises(self):
+    def test_saturated_annulus_raises(self, built):
         eps = 0.4
         balls = tuple(ExclusionBall(1.3 * np.exp(2j * np.pi * j / 40), 0.05)
                       for j in range(40))
         with pytest.raises(ContourNotFound):
             find_contour(UNIT_DISK, eps, ExclusionSet(balls), 128)
+        assert built == []
 
 
 class TestRoucheMargin:
@@ -357,6 +404,63 @@ class TestCertify:
         cert = certify(f, Segment(0, 1), 0.8, 3)
         assert cert.valid
         assert cert.critical_lower_bound >= 2
+
+    @pytest.mark.parametrize("zeros", [(0, 0, 0.5, 1), (1, 1, 0.3)])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-3])
+    def test_coincident_zeros_at_an_end_never_overcount(self, zeros, eps):
+        # perturbing the double zero moves it up to 1e-7, past a contour
+        # this close, and the ends' arcs fall between samples
+        f = RationalFunction(zeros, (), 1)
+        for seed in range(5):
+            try:
+                cert = certify(f, Segment(0, 1), eps, len(zeros), seed=seed)
+            except AGLError:
+                continue
+            direct = count_in(critical_points(cert.function).points,
+                              Segment(0, 1), eps)
+            assert cert.critical_lower_bound <= direct
+
+    def test_perturbed_zero_beyond_contour_refused(self):
+        # a segment short enough to sample finely: the zeros move up to
+        # 1e-7, far beyond the contour at offset 0.55e-8..0.95e-8
+        for seed in range(5):
+            with pytest.raises(ContourBoundaryConflict):
+                certify(RationalFunction((0, 0, 0), (), 1), Segment(0, 1e-7),
+                        1e-8, 3, seed=seed)
+
+
+class TestCertifiedMargin:
+    def test_bounds_dense_margin(self):
+        for f, region, eps, k, seed in _criterion3_instances(50):
+            try:
+                cert = certify(f, region, eps, k, seed=seed)
+            except ContourNotFound:
+                continue
+            assert certifier.MARGIN_FLOOR < cert.certified_margin <= cert.margin
+            inside, rem = split_instance(cert.function, region)
+            s = cert.contour.samples
+            midpoints = (s + np.roll(s, -1)) / 2
+            dense = offset_contour(region, cert.contour.offset_distance,
+                                   64 * len(s)).samples
+            for z in (midpoints, dense):
+                gap = (np.abs(log_derivative_values(inside, z))
+                       - np.abs(log_derivative_values(rem, z)))
+                assert np.min(gap) >= cert.certified_margin
+
+    def test_pole_between_coarse_samples_refused(self):
+        # four samples on the circle |z| = 0.77 at angles 0, pi/2, pi and
+        # 3 pi/2, where the margin is positive, and a pole at angle pi/4
+        # beyond it, clear of its exclusion ball
+        f = RationalFunction((0.01, -0.01, 0.01j),
+                             (1.1 * np.exp(0.25j * np.pi),), 1)
+        region = Disk(0, 0.02)
+        inside, rem = split_instance(f, region)
+        assert rouche_margin(inside, rem, offset_contour(region, 0.75, 4)) > 0
+        with pytest.raises(MarginNonPositive):
+            certify(f, region, 1.0, 3, min_samples=4)
+        cert = certify(f, region, 1.0, 3)
+        assert 0 < cert.certified_margin < cert.margin
+        assert cert.critical_lower_bound == 2
 
 
 def _criterion3_instances(count):
