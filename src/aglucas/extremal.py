@@ -9,8 +9,10 @@ critical points captured as the degree grows) and the fixed-eps regime.
 
 The simplex search is ``simplex.minimize``, which takes scipy's Nelder-Mead
 steps but asks for several points at once, and the objective solves such a
-stack of configurations in one secular solve.  scipy serves only the Brent
-search of the disk restarts, imported on its first call.
+stack of configurations in one secular solve.  The disk restarts' arc
+family places its integration constant with ``simplex.minimize_scalar``,
+Brent's bounded search with scipy's steps.  The search calls both as module
+globals, which perfbench wraps by name.
 """
 
 from __future__ import annotations
@@ -27,19 +29,9 @@ from .rational import _REFINE_DTYPE, CLUSTER_TOL, ROOT_TOL, RationalFunction, \
     poly_roots
 from .regions import ConvexRegion, Disk, centroid, diameter, distance, \
     distances, sample_point
-from .simplex import minimize
+from .simplex import minimize, minimize_scalar
 
 _SEARCH_BOX_HALF_WIDTH = 10.0
-
-
-# scipy.optimize costs about half a second and 48 MB to import, which every
-# verdict and certificate would pay through ``import aglucas``.  This loads
-# it on the search's first call.  The search calls it and ``minimize`` as
-# module globals, which perfbench wraps by name.
-def minimize_scalar(*args, **kwargs):
-    """scipy.optimize.minimize_scalar, imported on first use."""
-    from scipy import optimize
-    return optimize.minimize_scalar(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -231,7 +223,7 @@ class _ArcFamily:
         res = minimize_scalar(
             lambda c: float(self._kth_dist(coeffs, [c])[0]),
             bounds=(grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]),
-            method="bounded", options={"xatol": 1e-10 * span})
+            xatol=1e-10 * span)
         return float(res.x), float(res.fun)
 
     def start(self):

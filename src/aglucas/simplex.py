@@ -1,8 +1,11 @@
-"""Nelder-Mead minimization over an objective that takes stacks of points.
+"""The extremal search's two derivative-free minimizers.
 
-One simplex run asks its objective for several points at once where the
-method allows, so that an objective which solves a stack of points in one
-call (the extremal search's) pays its fixed cost once per stack.
+``minimize`` is Nelder-Mead over an objective that takes stacks of points:
+one simplex run asks for several points at once where the method allows, so
+that an objective which solves a stack of points in one call (the extremal
+search's) pays its fixed cost once per stack.  ``minimize_scalar`` is
+Brent's bounded minimization of a function of one variable (Brent,
+Algorithms for Minimization without Derivatives, 1973).
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """Where a Nelder-Mead run ended: the best vertex x and its value fun,
+    """Where a minimization ended: the best point x and its value fun,
     after nfev evaluations in nit iterations."""
 
-    x: np.ndarray
+    x: np.ndarray | float
     fun: float
     nfev: int
     nit: int
@@ -136,3 +139,69 @@ def minimize(fun, x0, *, maxiter: int, xatol: float, fatol: float,
         sim, fsim = sim[order], fsim[order]
     return SimplexResult(x=sim[0], fun=np.min(fsim), nfev=nfev,
                          nit=iterations)
+
+
+def minimize_scalar(fun, bounds, *, xatol: float) -> SimplexResult:
+    """Bounded Brent minimization of the scalar function fun over the
+    interval ``bounds`` = (a, b) (Brent 1973, ch. 5; ``fmin`` of Forsythe,
+    Malcolm & Moler, Computer Methods for Mathematical Computations, 1977).
+
+    Step for step the method of scipy 1.17's
+    ``minimize_scalar(method="bounded")``: a golden-section step wherever
+    the parabola through the last three points is unacceptable, the
+    sqrt(eps)|x| + xatol/3 tolerance and a cap of 500 evaluations, so it
+    returns the same x, fun and nfev, with nit = nfev as scipy reports it.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = bounds
+    # xf is the best point so far, nfc the second best and fulc the third
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fnfc = ffulc = fun(xf)
+    nfev = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while nfev < 500 and abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                if xf + rat - a < tol2 or b - (xf + rat) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = fun(x)
+        nfev += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return SimplexResult(x=xf, fun=fx, nfev=nfev, nit=nfev)

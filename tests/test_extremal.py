@@ -215,6 +215,40 @@ class TestNelderMead:
         assert sum(asked) > res.nfev
 
 
+def _scipy_bounded_brent(f, bounds, xatol):
+    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+    return scipy_minimize_scalar(f, bounds=bounds, method="bounded",
+                                 options={"xatol": xatol})
+
+
+def _bits(res):
+    return float(res.x).hex(), float(res.fun).hex(), res.nfev
+
+
+class TestBoundedBrent:
+    """The in-repo bounded Brent takes scipy's steps, with scipy as the
+    reference: bitwise the same x and fun, and the same nfev."""
+
+    @pytest.mark.parametrize("f, bounds, xatol", [
+        (lambda x: (x - 0.3) ** 2 + 1.0, (-2.0, 5.0), 1e-5),   # smooth
+        (lambda x: abs(x - 0.4), (-1.0, 1.0), 1e-10),          # kink
+        (lambda x: 2.5, (0.0, 1.0), 1e-5),                     # golden only
+        (lambda x: x, (0.5, 3.0), 1e-8),                       # lower end
+        (lambda x: -x ** 3, (-1.0, 2.0), 1e-8),                # upper end
+        (lambda x: (x - 1e-6) ** 2, (0.0, 1.0), 1e-8),         # end clamp
+        (lambda x: float(math.floor(4 * x)), (-1.3, 2.2), 1e-9),  # steps
+        (lambda x: math.nan if x > 0.5 else (x - 0.7) ** 2, (0.0, 1.0),
+         1e-8),                                                # nan part
+        (lambda x: x * x, (-1.0, 1.0), 0.0),                   # to the cap
+    ], ids=["quadratic", "kink", "constant", "lower-end", "upper-end",
+            "near-end", "step", "nan-part", "xatol-0"])
+    def test_matches_scipy(self, f, bounds, xatol):
+        ours = extremal.minimize_scalar(f, bounds, xatol=xatol)
+        theirs = _scipy_bounded_brent(f, bounds, xatol)
+        assert _bits(ours) == _bits(theirs)
+        assert ours.nit == ours.nfev
+
+
 class TestScores:
     """The search objective solves its rows as one stack, bitwise equal to
     one-row solves, and falls back to them row by row."""
